@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Settings come from an optional INI config file; any flag given on the
-command line overrides the corresponding config value.
+Settings come from an optional INI config file. Each setting flag carries
+its INI address as its argparse dest (`--num-topics` is `lda.num_topics`)
+and, when given, overrides that INI setting.
 """
 
 from __future__ import annotations
@@ -12,129 +13,94 @@ import sys
 from . import pipeline as pl
 
 
-def _add_common(p):
-    p.add_argument("--config", help="INI config file with per-stage sections")
-    p.add_argument("--corpus", help="corpus file, one document per line")
-    p.add_argument("--titles", help="titles file, one title per line")
-    p.add_argument("--stopwords", help="stopword file, one term per line")
-    p.add_argument("--names", help="file of common names to drop")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="global seed; stage seeds derive from it")
+class _Readout(argparse.Action):
+    """Stores `--readout final|average` as the LdaConfig readout name."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        readout = {"final": "final_sample", "average": "thinned_average"}
+        setattr(namespace, self.dest, readout[value])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI config file with per-stage sections")
+    for flag, dest, text in (
+            ("--corpus", "paths.corpus", "corpus file, one document per line"),
+            ("--titles", "paths.titles", "titles file, one title per line"),
+            ("--stopwords", "paths.stopwords", "stopword file, one term per line"),
+            ("--names", "paths.names", "file of common names to drop"),
+            ("--out", "paths.out_dir", "output directory")):
+        common.add_argument(flag, dest=dest, help=text)
+    common.add_argument("--seed", dest="run.seed", type=int,
+                        help="global seed; stage seeds derive from it")
+
     parser = argparse.ArgumentParser(
         prog="topicvec",
         description="Document features from LDA and paragraph vectors, "
                     "with KNN search and 2-D maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="tokenize, filter and index the corpus")
-    _add_common(p)
-    p.add_argument("--keep-top-n", type=int, help="vocabulary size cap")
-    p.add_argument("--min-token-len", type=int)
+    def command(name, text):
+        return sub.add_parser(name, help=text, parents=[common])
 
-    p = sub.add_parser("lda-train", help="train the topic model "
-                       "(uses OUT/corpus_filtered.txt when present)")
-    _add_common(p)
-    p.add_argument("--num-topics", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--sample-lag", type=int)
-    p.add_argument("--readout", choices=["final", "average"])
-    p.add_argument("--unnormalized", action="store_true", default=None,
+    p = command("preprocess", "tokenize, filter and index the corpus")
+    p.add_argument("--keep-top-n", dest="preprocess.keep_top_n_terms", type=int,
+                   help="vocabulary size cap")
+    p.add_argument("--min-token-len", dest="preprocess.min_token_len", type=int)
+
+    p = command("lda-train", "train the topic model "
+                "(uses OUT/corpus_filtered.txt when present)")
+    p.add_argument("--num-topics", dest="lda.num_topics", type=int)
+    p.add_argument("--alpha", dest="lda.alpha", type=float)
+    p.add_argument("--beta", dest="lda.beta", type=float)
+    p.add_argument("--sweeps", dest="lda.sweeps", type=int)
+    p.add_argument("--burn-in", dest="lda.burn_in", type=int)
+    p.add_argument("--sample-lag", dest="lda.sample_lag", type=int)
+    p.add_argument("--readout", dest="lda.readout", choices=["final", "average"],
+                   action=_Readout)
+    p.add_argument("--unnormalized", dest="lda.unnormalized", action="store_true",
+                   default=None,
                    help="export expected topic counts instead of normalized rows")
 
-    p = sub.add_parser("lda-topics", help="dump the most probable words per topic")
-    _add_common(p)
+    p = command("lda-topics", "dump the most probable words per topic")
     p.add_argument("--model", help="model archive (default OUT/lda_model.npz)")
-    p.add_argument("--n", type=int, help="words per topic")
+    p.add_argument("--n", dest="lda.num_words", type=int, help="words per topic")
 
-    p = sub.add_parser("doc2vec-train", help="train paragraph vectors")
-    _add_common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--mode", choices=["pvdm", "pvdbow"])
-    p.add_argument("--subsample", type=float)
-    p.add_argument("--max-epochs", type=int)
+    p = command("doc2vec-train", "train paragraph vectors")
+    p.add_argument("--dim", dest="doc2vec.dim", type=int)
+    p.add_argument("--window", dest="doc2vec.window", type=int)
+    p.add_argument("--min-count", dest="doc2vec.min_count", type=int)
+    p.add_argument("--mode", dest="doc2vec.mode", choices=["pvdm", "pvdbow"])
+    p.add_argument("--subsample", dest="doc2vec.subsample", type=float)
+    p.add_argument("--max-epochs", dest="doc2vec.max_epochs", type=int)
 
-    p = sub.add_parser("knn", help="rank nearest documents for a query")
-    _add_common(p)
+    p = command("knn", "rank nearest documents for a query")
     p.add_argument("--features", help="feature CSV, one row per document")
-    p.add_argument("--title", help="query by exact title")
-    p.add_argument("--index", type=int, help="query by row index")
-    p.add_argument("--k", type=int)
-    p.add_argument("--metric", choices=["cosine", "euclidean"])
+    p.add_argument("--title", dest="knn.title", help="query by exact title")
+    p.add_argument("--index", dest="knn.index", type=int, help="query by row index")
+    p.add_argument("--k", dest="knn.k", type=int)
+    p.add_argument("--metric", dest="knn.metric", choices=["cosine", "euclidean"])
 
-    p = sub.add_parser("tsne", help="project features to two dimensions")
-    _add_common(p)
+    p = command("tsne", "project features to two dimensions")
     p.add_argument("--features", help="feature CSV, one row per document")
-    p.add_argument("--perplexity", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--kernel", choices=["student_t", "gaussian"])
+    p.add_argument("--perplexity", dest="tsne.perplexity", type=float)
+    p.add_argument("--iterations", dest="tsne.iterations", type=int)
+    p.add_argument("--learning-rate", dest="tsne.learning_rate", type=float)
+    p.add_argument("--kernel", dest="tsne.kernel", choices=["student_t", "gaussian"])
 
-    p = sub.add_parser("pipeline", help="run every stage in order")
-    _add_common(p)
-
+    command("pipeline", "run every stage in order")
     return parser
 
 
-def _override(obj, attr, value):
-    if value is not None:
-        setattr(obj, attr, value)
-
-
 def config_from_args(args) -> pl.PipelineConfig:
+    """The --config file's settings, overridden by every setting flag given."""
+    settings = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            settings.setdefault(section, {})[key] = value
     cfg = pl.load_config(args.config) if args.config else pl.PipelineConfig()
-    _override(cfg, "corpus_path", args.corpus)
-    _override(cfg, "titles_path", args.titles)
-    _override(cfg, "stopwords_path", args.stopwords)
-    _override(cfg, "names_path", args.names)
-    _override(cfg, "out_dir", args.out)
-    _override(cfg, "seed", args.seed)
-
-    cmd = args.command
-    if cmd == "preprocess":
-        _override(cfg.preprocess, "keep_top_n_terms", args.keep_top_n)
-        _override(cfg.preprocess, "min_token_len", args.min_token_len)
-    elif cmd == "lda-train":
-        _override(cfg.lda, "num_topics", args.num_topics)
-        _override(cfg.lda, "alpha", args.alpha)
-        _override(cfg.lda, "beta", args.beta)
-        _override(cfg.lda, "sweeps", args.sweeps)
-        _override(cfg.lda, "burn_in", args.burn_in)
-        _override(cfg.lda, "sample_lag", args.sample_lag)
-        if args.readout:
-            cfg.lda.readout = ("final_sample" if args.readout == "final"
-                               else "thinned_average")
-        _override(cfg, "lda_unnormalized", args.unnormalized)
-    elif cmd == "lda-topics":
-        _override(cfg, "lda_num_words", args.n)
-    elif cmd == "doc2vec-train":
-        _override(cfg.doc2vec, "dim", args.dim)
-        _override(cfg.doc2vec, "window", args.window)
-        _override(cfg.doc2vec, "min_count", args.min_count)
-        _override(cfg.doc2vec, "mode", args.mode)
-        _override(cfg.doc2vec, "subsample", args.subsample)
-        _override(cfg.doc2vec, "max_epochs", args.max_epochs)
-    elif cmd == "knn":
-        _override(cfg, "knn_title", args.title)
-        _override(cfg, "knn_index", args.index)
-        _override(cfg, "knn_k", args.k)
-        _override(cfg, "knn_metric", args.metric)
-    elif cmd == "tsne":
-        _override(cfg.tsne, "perplexity", args.perplexity)
-        _override(cfg.tsne, "iterations", args.iterations)
-        _override(cfg.tsne, "learning_rate", args.learning_rate)
-        _override(cfg.tsne, "kernel", args.kernel)
-
-    if args.seed is not None and cmd != "pipeline":
-        cfg.apply_seed()  # pipeline applies it itself
-    return cfg
+    return pl.configure(cfg, settings)
 
 
 def main(argv=None) -> int:

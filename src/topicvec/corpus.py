@@ -23,6 +23,8 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.keep_top_n_terms < 1:
             raise ValueError("keep_top_n_terms must be >= 1")
+        if self.min_token_len < 1:
+            raise ValueError("min_token_len must be >= 1")
         if self.score_aggregate not in ("max", "sum"):
             raise ValueError("score_aggregate must be 'max' or 'sum'")
 

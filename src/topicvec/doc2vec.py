@@ -35,6 +35,14 @@ class Doc2VecConfig:
             raise ValueError("dim must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if self.subsample <= 0:
+            raise ValueError("subsample must be positive")
+        if self.alpha0 <= 0:
+            raise ValueError("alpha0 must be positive")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
         if self.mode not in ("pvdm", "pvdbow"):
@@ -69,19 +77,6 @@ def epoch_schedule(cfg: Doc2VecConfig) -> list[float]:
 def ngram_spans(tokens, n: int) -> list[tuple[int, ...]]:
     """Positions of every contiguous n-token span."""
     return [tuple(range(i, i + n)) for i in range(len(tokens) - n + 1)]
-
-
-def skipgram_spans(tokens, n: int, skip: int) -> list[tuple[int, ...]]:
-    """n-token spans whose final position may skip ahead by up to `skip`,
-    after a contiguous prefix."""
-    spans = []
-    for i in range(len(tokens) - n + 1):
-        prefix = tuple(range(i, i + n - 1))
-        for s in range(skip + 1):
-            last = i + n - 1 + s
-            if last < len(tokens):
-                spans.append(prefix + (last,))
-    return spans
 
 
 def build_windows(doc_tokens, window: int, mode: str,

@@ -70,11 +70,3 @@ def format_listing(neighbors: NeighborList, titles: list[str]) -> str:
     lines = [f"{rank}\t{titles[i]}\t{d!r}"
              for rank, (i, d) in enumerate(neighbors.entries)]
     return "\n".join(lines) + "\n"
-
-
-def listing_csv(neighbors: NeighborList, titles: list[str]) -> str:
-    lines = ["rank,index,title,distance"]
-    for rank, (i, d) in enumerate(neighbors.entries):
-        title = '"%s"' % titles[i].replace('"', '""')
-        lines.append(f"{rank},{i},{title},{d!r}")
-    return "\n".join(lines) + "\n"

@@ -95,27 +95,32 @@ def load_model(path, kind: str | None = None):
         raise VersionMismatchError(
             f"{path}: archive version {meta.get('version')!r}, "
             f"expected {ARCHIVE_VERSION}")
-    if kind is not None and meta["kind"] != kind:
-        raise KindMismatchError(f"{path}: holds a {meta['kind']!r} model, "
+    found = meta.get("kind")
+    if found not in ("lda", "doc2vec", "ffnet"):
+        raise CorruptArchiveError(f"{path}: unknown model kind {found!r}")
+    if kind is not None and found != kind:
+        raise KindMismatchError(f"{path}: holds a {found!r} model, "
                                 f"expected {kind!r}")
 
-    if meta["kind"] == "lda":
-        cfg = LdaConfig(**meta["config"])
-        return LdaModel(arrays["phi"], arrays["theta"], cfg,
-                        list(meta["terms"]), arrays["doc_topic_counts"])
-    if meta["kind"] == "doc2vec":
-        cfg = Doc2VecConfig(**meta["config"])
-        terms = list(meta["terms"])
-        return EmbeddingModel(arrays["W"], arrays["D"], arrays["U"], arrays["b"],
-                              cfg, terms, {t: i for i, t in enumerate(terms)},
-                              arrays["term_freq"], list(meta["labels"]))
-    if meta["kind"] == "ffnet":
+    try:
+        if found == "lda":
+            cfg = LdaConfig(**meta["config"])
+            return LdaModel(arrays["phi"], arrays["theta"], cfg,
+                            list(meta["terms"]), arrays["doc_topic_counts"])
+        if found == "doc2vec":
+            cfg = Doc2VecConfig(**meta["config"])
+            terms = list(meta["terms"])
+            return EmbeddingModel(arrays["W"], arrays["D"], arrays["U"],
+                                  arrays["b"], cfg, terms,
+                                  {t: i for i, t in enumerate(terms)},
+                                  arrays["term_freq"], list(meta["labels"]))
         sizes = list(meta["layer_sizes"])
         L = len(sizes) - 1
         return FeedforwardNet(sizes, [arrays[f"w{l}"] for l in range(L)],
                               [arrays[f"b{l}"] for l in range(L)],
                               list(meta["activations"]))
-    raise CorruptArchiveError(f"{path}: unknown model kind {meta['kind']!r}")
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptArchiveError(f"{path}: invalid {found} archive ({e})") from e
 
 
 # ------------------------------------------------------------------- queries
@@ -133,6 +138,9 @@ def title_lookup(titles: list[str], name: str) -> int:
 
 @dataclass
 class PipelineConfig:
+    """Every setting of a run. `configure` and `load_config` build it: they
+    validate each setting and derive the stage seeds from `seed`."""
+
     corpus_path: str = ""
     titles_path: str = ""
     stopwords_path: str | None = None
@@ -150,27 +158,80 @@ class PipelineConfig:
     lda_unnormalized: bool = False
     seed: int = 0
 
-    def apply_seed(self) -> None:
-        """Derive per-stage seeds from the global seed."""
-        self.lda.seed = self.seed + 1
-        self.doc2vec.seed = self.seed + 2
-        self.tsne.seed = self.seed + 3
+    def __post_init__(self):
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be >= 1")
+        if self.knn_metric not in nn_mod.METRICS:
+            raise ValueError(f"knn_metric must be one of {nn_mod.METRICS}")
+        if self.lda_num_words < 1:
+            raise ValueError("lda_num_words must be >= 1")
 
 
-def _set_fields(obj, section):
-    hints = {f.name: f for f in dataclasses.fields(obj)}
-    for key, raw in section.items():
-        if key not in hints:
-            raise PipelineError(f"unknown config key {key!r} in [{section.name}]")
-        current = getattr(obj, key)
-        if isinstance(current, bool):
-            setattr(obj, key, raw.strip().lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(obj, key, int(raw))
-        elif isinstance(current, float) or key in ("alpha", "beta"):
-            setattr(obj, key, float(raw))
-        else:
-            setattr(obj, key, raw)
+STAGES = {"preprocess": PreprocessConfig, "lda": LdaConfig,
+          "doc2vec": Doc2VecConfig, "tsne": TsneConfig}
+
+# INI (section, key) -> (stage attribute, or None for PipelineConfig itself;
+# field name). A stage section holds every scalar field of its config except
+# the seed, which derives from [run] seed; [paths] loads the word sets.
+SETTINGS = {
+    **{(section, key): (None, name) for section, key, name in (
+        ("paths", "corpus", "corpus_path"), ("paths", "titles", "titles_path"),
+        ("paths", "stopwords", "stopwords_path"), ("paths", "names", "names_path"),
+        ("paths", "out_dir", "out_dir"), ("lda", "num_words", "lda_num_words"),
+        ("lda", "unnormalized", "lda_unnormalized"), ("knn", "k", "knn_k"),
+        ("knn", "metric", "knn_metric"), ("knn", "title", "knn_title"),
+        ("knn", "index", "knn_index"), ("run", "seed", "seed"))},
+    **{(stage, f.name): (stage, f.name)
+       for stage, cls in STAGES.items() for f in dataclasses.fields(cls)
+       if f.name not in ("seed", "stopwords", "drop_names")},
+}
+
+
+def _parse(raw: str, annotation: str):
+    """An INI string read as the first type in a field's annotation."""
+    kind = annotation.split("|")[0].strip()
+    if kind == "bool":
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return states[raw.lower()]
+    return {"int": int, "float": float, "str": str}[kind](raw)
+
+
+def configure(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
+    """A copy of `cfg` with `settings` ({section: {key: value}}, at INI
+    addresses) applied, string values parsed by their field's type, and the
+    stage seeds derived from [run] seed. Every config is rebuilt, so its own
+    checks run; a bad key or value raises PipelineError naming `[section] key`."""
+    changes = {target: {} for target in (None, *STAGES)}
+    for section, values in settings.items():
+        for key, value in values.items():
+            if (section, key) not in SETTINGS:
+                raise PipelineError(f"unknown config key [{section}] {key}")
+            target, name = SETTINGS[section, key]
+            if isinstance(value, str):
+                cls = STAGES.get(target, PipelineConfig)
+                types = {f.name: f.type for f in dataclasses.fields(cls)}
+                try:
+                    value = _parse(value, types[name])
+                except ValueError as e:
+                    raise PipelineError(f"[{section}] {key}: {e}") from None
+            changes[target][name] = value
+    seed = changes[None].get("seed", cfg.seed)
+    for offset, stage in enumerate(("lda", "doc2vec", "tsne"), 1):
+        changes[stage]["seed"] = seed + offset
+
+    def rebuild(target, obj):
+        try:
+            return dataclasses.replace(obj, **changes[target])
+        except ValueError as e:
+            # every config check's message starts with the field at fault
+            at = {v: k for k, v in SETTINGS.items()}.get((target, str(e).split()[0]))
+            raise PipelineError(f"[{at[0]}] {at[1]}: {e}" if at else str(e)) from None
+
+    for stage in STAGES:
+        changes[None][stage] = rebuild(stage, getattr(cfg, stage))
+    return rebuild(None, cfg)
 
 
 def load_config(path) -> PipelineConfig:
@@ -179,40 +240,8 @@ def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise PipelineError(f"cannot read config file {path}")
-    cfg = PipelineConfig()
-    for name in parser.sections():
-        section = parser[name]
-        if name == "paths":
-            cfg.corpus_path = section.get("corpus", cfg.corpus_path)
-            cfg.titles_path = section.get("titles", cfg.titles_path)
-            cfg.stopwords_path = section.get("stopwords", cfg.stopwords_path)
-            cfg.names_path = section.get("names", cfg.names_path)
-            cfg.out_dir = section.get("out_dir", cfg.out_dir)
-        elif name == "preprocess":
-            _set_fields(cfg.preprocess, section)
-        elif name == "lda":
-            extras = {k: section.pop(k) for k in ("num_words", "unnormalized")
-                      if k in section}
-            _set_fields(cfg.lda, section)
-            if "num_words" in extras:
-                cfg.lda_num_words = int(extras["num_words"])
-            if "unnormalized" in extras:
-                cfg.lda_unnormalized = extras["unnormalized"].lower() in (
-                    "1", "true", "yes", "on")
-        elif name == "doc2vec":
-            _set_fields(cfg.doc2vec, section)
-        elif name == "tsne":
-            _set_fields(cfg.tsne, section)
-        elif name == "knn":
-            cfg.knn_k = section.getint("k", cfg.knn_k)
-            cfg.knn_metric = section.get("metric", cfg.knn_metric)
-            cfg.knn_title = section.get("title", cfg.knn_title)
-            cfg.knn_index = section.getint("index", cfg.knn_index)
-        elif name == "run":
-            cfg.seed = section.getint("seed", cfg.seed)
-        else:
-            raise PipelineError(f"unknown config section [{name}]")
-    return cfg
+    return configure(PipelineConfig(),
+                     {name: dict(parser[name]) for name in parser.sections()})
 
 
 # ------------------------------------------------------------------- exports
@@ -311,12 +340,24 @@ def run_doc2vec_train(cfg: PipelineConfig) -> EmbeddingModel:
     return model
 
 
-def run_knn(cfg: PipelineConfig, features_path: str,
-            out_name: str = "knn.tsv") -> str:
+def _load_features(cfg: PipelineConfig, features_path: str):
+    """Feature rows and titles, checked to match one to one and be finite."""
+    if not features_path:
+        raise PipelineError("no --features file given")
     features = load_matrix_csv(features_path)
     titles = _load_titles(cfg)
     if features.shape[0] != len(titles):
         raise PipelineError("feature rows do not match the titles file")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise PipelineError(
+            f"{features_path}: row {bad[0]} holds a non-finite value")
+    return features, titles
+
+
+def run_knn(cfg: PipelineConfig, features_path: str,
+            out_name: str = "knn.tsv") -> str:
+    features, titles = _load_features(cfg, features_path)
     if cfg.knn_title is not None:
         index = title_lookup(titles, cfg.knn_title)
     else:
@@ -330,10 +371,7 @@ def run_knn(cfg: PipelineConfig, features_path: str,
 
 def run_tsne(cfg: PipelineConfig, features_path: str,
              out_name: str = "tsne.csv") -> np.ndarray:
-    features = load_matrix_csv(features_path)
-    titles = _load_titles(cfg)
-    if features.shape[0] != len(titles):
-        raise PipelineError("feature rows do not match the titles file")
+    features, _ = _load_features(cfg, features_path)
     layout = tsne_mod.run(features, cfg.tsne)
     write_matrix_csv(_out(cfg, out_name), layout.Y)
     return layout.Y
@@ -341,7 +379,6 @@ def run_tsne(cfg: PipelineConfig, features_path: str,
 
 def run_pipeline(cfg: PipelineConfig) -> None:
     """All stages in order, on both feature sets."""
-    cfg.apply_seed()
     run_preprocess(cfg)
     run_lda_train(cfg)
     run_lda_topics(cfg)
@@ -350,13 +387,11 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     run_knn(cfg, os.path.join(cfg.out_dir, "doc2vec_vectors.csv"),
             "knn_doc2vec.tsv")
     run_tsne(cfg, os.path.join(cfg.out_dir, "lda_theta.csv"), "lda_tsne.csv")
-    base = cfg.tsne.seed
-    cfg.tsne.seed = base + 1  # independent layout noise for the second map
-    try:
-        run_tsne(cfg, os.path.join(cfg.out_dir, "doc2vec_vectors.csv"),
-                 "doc2vec_tsne.csv")
-    finally:
-        cfg.tsne.seed = base
+    # independent layout noise for the second map
+    second = dataclasses.replace(
+        cfg, tsne=dataclasses.replace(cfg.tsne, seed=cfg.tsne.seed + 1))
+    run_tsne(second, os.path.join(cfg.out_dir, "doc2vec_vectors.csv"),
+             "doc2vec_tsne.csv")
 
 
 def run(command: str, cfg: PipelineConfig,
@@ -374,12 +409,8 @@ def run(command: str, cfg: PipelineConfig,
     elif command == "doc2vec-train":
         run_doc2vec_train(cfg)
     elif command == "knn":
-        if not features_path:
-            raise PipelineError("knn needs a --features file")
         print(run_knn(cfg, features_path), end="")
     elif command == "tsne":
-        if not features_path:
-            raise PipelineError("tsne needs a --features file")
         run_tsne(cfg, features_path)
     else:
         run_pipeline(cfg)

@@ -32,6 +32,8 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.perplexity <= 0:
+            raise ValueError("perplexity must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate <= 0:

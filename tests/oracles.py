@@ -65,6 +65,8 @@ def random_micro_instance(rng):
 
 
 def state_from(docs, z, K, V):
+    """A sampler state counted from scratch. It copies `z`, which sweeps
+    mutate, so states built from one instance stay independent."""
     M = len(docs)
     n_kt = np.zeros((K, V), dtype=np.int64)
     n_mk = np.zeros((M, K), dtype=np.int64)
@@ -72,7 +74,7 @@ def state_from(docs, z, K, V):
         for t, k in zip(toks, zs):
             n_kt[k, t] += 1
             n_mk[m, k] += 1
-    return LdaState([np.asarray(d) for d in docs], [np.asarray(s) for s in z],
+    return LdaState([np.asarray(d) for d in docs], [np.array(s) for s in z],
                     n_kt, n_mk, n_kt.sum(axis=1), n_mk.sum(axis=1))
 
 
@@ -115,16 +117,19 @@ def max_rel_err(analytic, numeric, floor=1e-3):
 
 # ------------------------------------------------------- exhaustive search
 
-def knn_sort_oracle(matrix, q, metric):
-    """Full distance sort, written independently of the search module."""
+def knn_oracle_distances(matrix, q, metric):
+    """Distance of every row to q, written independently of the search module."""
     out = []
-    for i, row in enumerate(matrix):
+    for row in matrix:
         if metric == "cosine":
             d = 1.0 - np.dot(row, q) / (np.linalg.norm(row) * np.linalg.norm(q))
         else:
             d = float(np.linalg.norm(row - q))
-        if abs(d) <= 1e-12:
-            d = 0.0
-        out.append((d, i))
-    out.sort()
-    return [i for _, i in out]
+        out.append(0.0 if abs(d) <= 1e-12 else d)
+    return out
+
+
+def knn_sort_oracle(matrix, q, metric):
+    """Full distance sort: row indices by distance, ties to the lower index."""
+    d = knn_oracle_distances(matrix, q, metric)
+    return sorted(range(len(d)), key=lambda i: (d[i], i))

@@ -9,7 +9,7 @@ from topicvec.corpus import build_corpus, cosine_similarity
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
                               build_windows, epoch_schedule, hidden_h, infer_vector,
                               init_model, log_prob_and_grads, ngram_spans,
-                              predict_distribution, skipgram_spans, subsample,
+                              predict_distribution, subsample,
                               train)
 
 SENTENCE = "el gato negro es bellissimo".split()
@@ -52,15 +52,6 @@ def test_contiguous_three_token_spans():
     spans = ngram_spans(SENTENCE, 3)
     texts = [" ".join(SENTENCE[i] for i in span) for span in spans]
     assert texts == ["el gato negro", "gato negro es", "negro es bellissimo"]
-
-
-def test_one_skip_three_token_spans():
-    spans = skipgram_spans(SENTENCE, 3, skip=1)
-    texts = [" ".join(SENTENCE[i] for i in span) for span in spans]
-    assert len(texts) == 5
-    assert "el gato es" in texts
-    assert texts == ["el gato negro", "el gato es", "gato negro es",
-                     "gato negro bellissimo", "negro es bellissimo"]
 
 
 def test_pvdm_windows_center_every_position():

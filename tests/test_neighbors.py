@@ -4,9 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import knn_oracle_distances
 from oracles import knn_sort_oracle as sort_oracle
-from topicvec.neighbors import NeighborList, format_listing, knn, listing_csv
+from topicvec.neighbors import NeighborList, format_listing, knn
 
+
+# rows whose true distances tie may be rounded apart by this much
+ORDER_TOL = 1e-12
 
 nonzero_matrices = arrays(
     float, st.tuples(st.integers(2, 50), st.integers(1, 10)),
@@ -47,7 +51,13 @@ def test_result_is_prefix_of_full_sort(X, qi, metric):
     res = knn(X, qi, k=k, metric=metric)
     full = sort_oracle(X, X[qi], metric)
     full = [qi] + [i for i in full if i != qi]  # query row pinned to rank 0
-    assert [i for i, _ in res.entries] == full[:k + 1]
+    got = [i for i, _ in res.entries]
+    assert got[0] == qi and len(set(got)) == len(got) == k + 1
+    # each rank holds a row as far from the query as the oracle's row at
+    # that rank; rows within ORDER_TOL of each other may swap
+    d = knn_oracle_distances(X, X[qi], metric)
+    for mine, theirs in zip(got[1:], full[1:]):
+        assert abs(d[mine] - d[theirs]) <= ORDER_TOL
     dists = [d for _, d in res.entries]
     assert dists[1:] == sorted(dists[1:])
 
@@ -122,6 +132,3 @@ def test_listing_formats():
     lines = tsv.splitlines()
     assert lines[0] == "0\tAlpha\t0.0"
     assert lines[1] == '1\tSay "Hi"\t0.25'
-    csv = listing_csv(nl, titles)
-    assert csv.splitlines()[0] == "rank,index,title,distance"
-    assert '"Say ""Hi"""' in csv

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -12,10 +14,10 @@ from topicvec.doc2vec import Doc2VecConfig
 from topicvec.doc2vec import train as d2v_train
 from topicvec.lda import LdaConfig
 from topicvec.lda import train as lda_train
-from topicvec.pipeline import (CorruptArchiveError, KindMismatchError,
-                               PipelineConfig, VersionMismatchError, load_config,
-                               load_matrix_csv, load_model, save_model,
-                               title_lookup, write_matrix_csv)
+from topicvec.pipeline import (SETTINGS, CorruptArchiveError, KindMismatchError,
+                               PipelineConfig, PipelineError, VersionMismatchError,
+                               configure, load_config, load_matrix_csv, load_model,
+                               save_model, title_lookup, write_matrix_csv)
 
 
 @pytest.fixture
@@ -86,16 +88,36 @@ def test_missing_metadata_reports_corruption(tmp_path):
         load_model(path)
 
 
+def rewrite_meta(path, edit):
+    """Apply `edit` to the metadata of the archive at `path`, in place."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    edit(meta)
+    arrays["__meta__"] = np.asarray(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.pop("kind"),
+    lambda meta: meta["config"].update(num_tropics=3),
+    lambda meta: meta["config"].update(num_topics=0),
+], ids=["missing-kind", "unknown-config-key", "invalid-config-value"])
+def test_bad_metadata_reports_corruption(small_corpus, tmp_path, edit):
+    model = lda_train(small_corpus, LdaConfig(num_topics=2, sweeps=4, burn_in=1, seed=0))
+    path = tmp_path / "m.npz"
+    save_model(model, path)
+    rewrite_meta(path, edit)
+    for kind in (None, "lda"):
+        with pytest.raises(CorruptArchiveError):
+            load_model(path, kind=kind)
+
+
 def test_version_mismatch_detected(small_corpus, tmp_path):
     model = lda_train(small_corpus, LdaConfig(num_topics=2, sweeps=4, burn_in=1, seed=0))
     path = tmp_path / "m.npz"
     save_model(model, path)
-    with np.load(path) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    meta = json.loads(str(arrays["__meta__"]))
-    meta["version"] = 999
-    arrays["__meta__"] = np.asarray(json.dumps(meta))
-    np.savez(path, **arrays)
+    rewrite_meta(path, lambda meta: meta.update(version=999))
     with pytest.raises(VersionMismatchError):
         load_model(path)
 
@@ -176,9 +198,81 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(ini)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("preprocess", "min_token_len", "0"), ("preprocess", "stopwords", "the"),
+    ("lda", "num_topics", "0"), ("lda", "num_topics", "2.5"),
+    ("lda", "readout", "average"), ("lda", "unnormalized", "maybe"),
+    ("lda", "num_words", "0"), ("lda", "seed", "3"),
+    ("doc2vec", "dim", "0"), ("doc2vec", "min_count", "0"),
+    ("doc2vec", "subsample", "0"), ("doc2vec", "alpha0", "0"),
+    ("doc2vec", "max_epochs", "0"), ("tsne", "perplexity", "-5"),
+    ("knn", "k", "0"), ("knn", "metric", "manhattan"),
+])
+def test_configure_rejects_bad_settings_by_address(section, key, value):
+    with pytest.raises(PipelineError, match=re.escape(f"[{section}] {key}")):
+        configure(PipelineConfig(), {section: {key: value}})
+
+
+def test_configure_parses_by_field_type_without_touching_its_input():
+    base = PipelineConfig()
+    cfg = configure(base, {"lda": {"alpha": "0.5", "unnormalized": "yes",
+                                    "sweeps": "20", "burn_in": "10"},
+                           "knn": {"title": "The Godfather"}})
+    assert cfg.lda.alpha == 0.5 and cfg.lda_unnormalized is True
+    assert (cfg.lda.sweeps, cfg.lda.burn_in) == (20, 10)
+    assert cfg.knn_title == "The Godfather"
+    assert base == PipelineConfig()
+
+
+def test_every_setting_flag_sets_its_ini_address():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = 0
+    for name, command in commands.items():
+        for action in command._actions:
+            if "." not in action.dest:
+                continue
+            flags += 1
+            section, key = action.dest.split(".")
+            assert (section, key) in SETTINGS, action.option_strings
+            if action.nargs == 0:
+                value = []
+            elif action.choices:
+                value = [action.choices[0]]
+            else:
+                value = [{int: "60", float: "0.5", None: "x"}[action.type]]
+            args = parser.parse_args([name, action.option_strings[0]] + value)
+            cfg = cli.config_from_args(args)
+            target, field_name = SETTINGS[section, key]
+            obj = cfg if target is None else getattr(cfg, target)
+            assert getattr(obj, field_name) == getattr(args, action.dest)
+    assert flags == 7 * 6 + 25  # six shared flags per command, plus stage flags
+
+
+def test_flags_override_ini_settings(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[lda]\nnum_topics = 12\nreadout = final_sample\n")
+    args = cli.build_parser().parse_args(
+        ["lda-train", "--config", str(ini), "--num-topics", "5",
+         "--readout", "average"])
+    cfg = cli.config_from_args(args)
+    assert cfg.lda.num_topics == 5 and cfg.lda.readout == "thinned_average"
+
+
+def test_stage_command_seeds_derive_from_ini_run_seed(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[run]\nseed = 7\n")
+    parser = cli.build_parser()
+    cfg = cli.config_from_args(parser.parse_args(["lda-train", "--config", str(ini)]))
+    assert (cfg.lda.seed, cfg.doc2vec.seed, cfg.tsne.seed) == (8, 9, 10)
+    cfg = cli.config_from_args(
+        parser.parse_args(["tsne", "--config", str(ini), "--seed", "3"]))
+    assert (cfg.lda.seed, cfg.tsne.seed) == (4, 6)
+
+
 def test_stage_seeds_derive_from_global_seed():
-    cfg = PipelineConfig(seed=10)
-    cfg.apply_seed()
+    cfg = configure(PipelineConfig(), {"run": {"seed": "10"}})
     assert (cfg.lda.seed, cfg.doc2vec.seed, cfg.tsne.seed) == (11, 12, 13)
 
 
@@ -277,3 +371,58 @@ def test_unknown_command_rejected():
     from topicvec.pipeline import run
     with pytest.raises(Exception, match="unknown command"):
         run("transmogrify", PipelineConfig())
+
+
+def raw_fixture(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    titles = tmp_path / "titles.txt"
+    corpus.write_text("ant bee ant cat\nbee cat dog\ndog ant dog bee\n")
+    titles.write_text("one\ntwo\nthree\n")
+    features = tmp_path / "features.csv"
+    write_matrix_csv(features, np.random.default_rng(0).uniform(0.1, 1.0, (3, 2)))
+    return ["--corpus", str(corpus), "--titles", str(titles)], str(features)
+
+
+@pytest.mark.parametrize("command,setting,address", [
+    ("lda-train", ["--num-topics", "0"], "[lda] num_topics"),
+    ("lda-train", "[lda]\nnum_topics = 0", "[lda] num_topics"),
+    ("doc2vec-train", ["--dim", "0"], "[doc2vec] dim"),
+    ("doc2vec-train", "[doc2vec]\ndim = 0", "[doc2vec] dim"),
+    ("tsne", ["--perplexity", "-5"], "[tsne] perplexity"),
+    ("tsne", "[tsne]\nperplexity = -5", "[tsne] perplexity"),
+    ("knn", ["--k", "0"], "[knn] k"),
+    ("knn", "[knn]\nk = 0", "[knn] k"),
+    ("lda-train", "[lda]\nreadout = average", "[lda] readout"),
+    ("preprocess", "[preprocess]\nstopwords = the", "[preprocess] stopwords"),
+])
+def test_cli_bad_setting_fails_before_any_output(tmp_path, capsys, command,
+                                                 setting, address):
+    inputs, features = raw_fixture(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--out", str(out)]
+    if command in ("knn", "tsne"):
+        argv += ["--features", features]
+    if isinstance(setting, list):  # flags
+        argv += setting
+    else:  # INI text
+        (tmp_path / "bad.ini").write_text(setting + "\n")
+        argv += ["--config", str(tmp_path / "bad.ini")]
+    assert cli.main(argv) == 1
+    assert address in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["knn", "tsne"])
+def test_cli_rejects_non_finite_feature_rows(tmp_path, capsys, command):
+    inputs, _ = raw_fixture(tmp_path)
+    features = np.ones((3, 2))
+    features[1, 0] = np.nan
+    features[2, 1] = np.inf
+    fpath = tmp_path / "nan.csv"
+    write_matrix_csv(fpath, features)
+    out = tmp_path / "out"
+    rc = cli.main([command, *inputs, "--features", str(fpath), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(fpath) in err and "row 1 " in err
+    assert not out.exists()
