@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .corpus import (BagOfWords, Corpus, PreprocessConfig, TokenizedDocument,
                      Vocabulary, build_corpus, cosine_similarity,
-                     filter_vocabulary, preprocess_document, tf_idf)
+                     filter_vocabulary, preprocess_document)
 from .lda import (GeneratorConfig, LdaConfig, LdaModel, LdaState,
                   generate_corpus, infer_theta, top_words)
 from .lda import train as train_lda

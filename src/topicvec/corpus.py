@@ -3,7 +3,6 @@ and the cosine similarity primitive shared by the downstream models."""
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 
@@ -141,19 +140,6 @@ def build_corpus(docs: list[list[str]], labels: list[str]) -> Corpus:
     vocab = Vocabulary(term_to_id, id_to_term, doc_freq, collection_freq)
     tdocs = [TokenizedDocument(label, ids) for label, ids in zip(labels, indexed)]
     return Corpus(tdocs, vocab)
-
-
-def tf_idf(term: str, doc: int, corpus: Corpus) -> float:
-    """Term frequency in the document times ln(D / document frequency)."""
-    if term not in corpus.vocab.term_to_id:
-        raise KeyError(f"unknown term: {term!r}")
-    t = corpus.vocab.term_to_id[term]
-    f_td = int(np.count_nonzero(corpus.docs[doc].tokens == t))
-    if f_td == 0:
-        return 0.0
-    D = corpus.num_docs
-    f_tD = int(corpus.vocab.doc_freq[t])
-    return f_td * math.log(D / f_tD)
 
 
 def term_scores(corpus: Corpus, aggregate: str = "max") -> np.ndarray:

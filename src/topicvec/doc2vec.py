@@ -4,7 +4,8 @@ Two modes: pvdm predicts each word from the document vector averaged with
 its context word vectors; pvdbow predicts a word sampled from each text
 window from the document vector alone. Training ascends the average log
 probability by per-instance gradient steps with a multiplicative
-learning-rate decay.
+learning-rate decay. Training, fold-in (`infer_vector`) and
+`avg_log_prob` share one forward/backward step.
 """
 
 from __future__ import annotations
@@ -131,12 +132,27 @@ def hidden_h(doc_vec: np.ndarray, context_vecs, mode: str) -> np.ndarray:
     return (doc_vec + np.sum(context_vecs, axis=0)) / (1 + len(context_vecs))
 
 
-def predict_distribution(h: np.ndarray, model: EmbeddingModel) -> np.ndarray:
-    """Softmax over the vocabulary logits b + U h."""
+def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
+          target_id: int, mode: str):
+    """Forward/backward pass of one instance against the exact softmax:
+    log probability of the target, the hidden vector h, the output error
+    (one-hot target minus prediction, which is also the bias gradient), and
+    ascent gradients for the document vector and the shared context
+    direction (to be split equally among contributing vectors)."""
+    ctx_vecs = model.W[list(context_ids)] if len(context_ids) else ()
+    h = hidden_h(doc_vec, ctx_vecs, mode)
     logits = model.b + model.U @ h
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    norm = e.sum()
+    logp = float(shifted[target_id] - np.log(norm))
+    err = -(e / norm)
+    err[target_id] += 1.0
+    grad_h = model.U.T @ err
+    if mode == "pvdbow":
+        return logp, h, err, grad_h, np.zeros_like(grad_h)
+    share = 1.0 / (1 + len(context_ids))
+    return logp, h, err, grad_h * share, grad_h * share
 
 
 def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
@@ -144,27 +160,10 @@ def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
     """Log probability of the target word for one instance, plus ascent
     gradients for U, b, the document vector, and the shared context
     direction (to be split equally among contributing vectors)."""
-    mode = mode or model.config.mode
-    ctx_vecs = model.W[list(context_ids)] if len(context_ids) else ()
-    h = hidden_h(model.D[doc_index], ctx_vecs, mode)
-    logits = model.b + model.U @ h
-    shifted = logits - logits.max()
-    log_norm = np.log(np.sum(np.exp(shifted)))
-    logp = float(shifted[target_id] - log_norm)
-    p = np.exp(shifted - log_norm)
-    err = -p
-    err[target_id] += 1.0  # one-hot target minus prediction
-    grad_b = err
-    grad_U = np.outer(err, h)
-    grad_h = model.U.T @ err
-    if mode == "pvdbow":
-        grad_doc = grad_h
-        grad_ctx = np.zeros_like(grad_h)
-    else:
-        share = 1.0 / (1 + len(context_ids))
-        grad_doc = grad_h * share
-        grad_ctx = grad_h * share
-    return logp, grad_U, grad_b, grad_doc, grad_ctx
+    logp, h, err, grad_doc, grad_ctx = _step(
+        model, model.D[doc_index], context_ids, target_id,
+        mode or model.config.mode)
+    return logp, np.outer(err, h), err, grad_doc, grad_ctx
 
 
 def _corpus_model_ids(corpus: Corpus, model: EmbeddingModel) -> list[np.ndarray]:
@@ -248,20 +247,19 @@ def avg_log_prob(model: EmbeddingModel, corpus: Corpus) -> float:
     """Mean log probability of the target word over all prediction
     instances, enumerated deterministically: every position is a pvdm
     center (or a pvdbow target), with no subsampling."""
-    docs = _corpus_model_ids(corpus, model)
+    mode = model.config.mode
     total = 0.0
     count = 0
-    w = model.config.window
-    for m, toks in enumerate(docs):
-        n = len(toks)
-        for i in range(n):
-            if model.config.mode == "pvdm":
-                ctx = [int(toks[j]) for j in range(max(0, i - w), min(n, i + w + 1))
-                       if j != i]
-            else:
-                ctx = []
-            logp, *_ = log_prob_and_grads(model, m, ctx, int(toks[i]))
-            total += logp
+    for m, toks in enumerate(_corpus_model_ids(corpus, model)):
+        if len(toks) == 0:
+            continue
+        if mode == "pvdm":
+            windows = build_windows(toks, model.config.window, mode)
+        else:
+            windows = [((), i) for i in range(len(toks))]
+        for ctx_pos, center in windows:
+            ctx_ids = [int(toks[i]) for i in ctx_pos]
+            total += _step(model, model.D[m], ctx_ids, int(toks[center]), mode)[0]
             count += 1
     if count == 0:
         raise ValueError("corpus has no in-vocabulary tokens")
@@ -272,8 +270,8 @@ def infer_vector(model: EmbeddingModel, doc_tokens, cfg: Doc2VecConfig) -> np.nd
     """Vector for an unseen document, optimized with the word vectors and
     softmax parameters frozen.
 
-    Runs the same schedule and instance construction as training, but only
-    the fresh document vector receives gradient updates.
+    Runs the same schedule, instance construction and step as training, but
+    only the fresh document vector receives gradient updates.
     """
     ids = np.asarray([model.term_to_id[t] for t in doc_tokens
                       if t in model.term_to_id], dtype=np.int64)
@@ -289,17 +287,5 @@ def infer_vector(model: EmbeddingModel, doc_tokens, cfg: Doc2VecConfig) -> np.nd
             continue
         for ctx_pos, center in build_windows(toks, cfg.window, mode, rng):
             ctx_ids = [int(toks[i]) for i in ctx_pos]
-            target = int(toks[center])
-            ctx_vecs = model.W[ctx_ids] if ctx_ids else ()
-            h = hidden_h(v, ctx_vecs, mode)
-            logits = model.b + model.U @ h
-            shifted = logits - logits.max()
-            p = np.exp(shifted)
-            p /= p.sum()
-            err = -p
-            err[target] += 1.0
-            grad_h = model.U.T @ err
-            if mode == "pvdm":
-                grad_h = grad_h / (1 + len(ctx_ids))
-            v += alpha * grad_h
+            v += alpha * _step(model, v, ctx_ids, int(toks[center]), mode)[3]
     return v

@@ -4,6 +4,9 @@ Topic/word and document/topic count matrices are kept as exact integers;
 the sampler resamples one token at a time and updates them in place.
 Row-stochastic read-outs (phi for topics over terms, theta for documents
 over topics) are computed from counts plus the Dirichlet priors.
+Training and fold-in of an unseen document (`infer_theta`, with phi
+frozen) run one chain routine for burn-in, thinning and readout, and draw
+each topic the same way.
 """
 
 from __future__ import annotations
@@ -230,32 +233,39 @@ def estimate_phi_theta(state: LdaState, cfg: LdaConfig) -> tuple[np.ndarray, np.
     return phi, theta
 
 
-def train(corpus: Corpus, cfg: LdaConfig) -> LdaModel:
-    """Run the Gibbs chain and read out a model.
+def _run_chain(cfg: LdaConfig, sweep, estimate) -> list[np.ndarray]:
+    """Run `sweep()` cfg.sweeps times and read out `estimate()`, a tuple of
+    arrays.
 
     Sweeps up to and including burn_in are discarded. With the
-    'final_sample' readout the model is taken from the last state; with
-    'thinned_average' phi and theta are averaged over every sample_lag-th
-    post-burn-in sweep. Averaging is subject to topic label switching
+    'thinned_average' readout the estimates of every sample_lag-th
+    post-burn-in sweep are averaged; with 'final_sample', or when no sweep
+    was kept, the estimate is taken from the last state.
+    """
+    acc = None
+    n_samples = 0
+    for n in range(1, cfg.sweeps + 1):
+        sweep()
+        if (cfg.readout == "thinned_average" and n > cfg.burn_in
+                and (n - cfg.burn_in) % cfg.sample_lag == 0):
+            est = estimate()
+            acc = est if acc is None else [a + e for a, e in zip(acc, est)]
+            n_samples += 1
+    if n_samples == 0:
+        return list(estimate())
+    return [a / n_samples for a in acc]
+
+
+def train(corpus: Corpus, cfg: LdaConfig) -> LdaModel:
+    """Run the Gibbs chain and read out phi and theta.
+
+    Averaging under 'thinned_average' is subject to topic label switching
     across samples, which is why the final sample is the default.
     """
     rng = np.random.default_rng(cfg.seed)
     state = init_state(corpus, cfg, rng)
-    phi_acc = theta_acc = None
-    n_samples = 0
-    for sweep in range(1, cfg.sweeps + 1):
-        gibbs_sweep(state, cfg, rng)
-        past_burn_in = sweep > cfg.burn_in
-        if (cfg.readout == "thinned_average" and past_burn_in
-                and (sweep - cfg.burn_in) % cfg.sample_lag == 0):
-            phi, theta = estimate_phi_theta(state, cfg)
-            phi_acc = phi if phi_acc is None else phi_acc + phi
-            theta_acc = theta if theta_acc is None else theta_acc + theta
-            n_samples += 1
-    if cfg.readout == "thinned_average" and n_samples > 0:
-        phi, theta = phi_acc / n_samples, theta_acc / n_samples
-    else:
-        phi, theta = estimate_phi_theta(state, cfg)
+    phi, theta = _run_chain(cfg, lambda: gibbs_sweep(state, cfg, rng),
+                            lambda: estimate_phi_theta(state, cfg))
     return LdaModel(phi, theta, dataclasses.replace(cfg),
                     list(corpus.vocab.id_to_term), state.n_mk.copy())
 
@@ -284,39 +294,50 @@ def format_topics(model: LdaModel, num_words: int = 20) -> str:
 def infer_theta(model: LdaModel, doc: BagOfWords, cfg: LdaConfig) -> np.ndarray:
     """Topic mixture for an unseen document, with the topic/term rows frozen.
 
-    Only the new document's assignments are resampled; the read-out follows
-    the configured final-sample or thinned-average rule.
+    Only the new document's assignments are resampled, by the chain and
+    readout of `train` and the draw of `gibbs_sweep`, with the columns of
+    phi standing in for the topic/term factor of the conditional.
     """
-    alpha = cfg.alpha_vec()
-    K = model.phi.shape[0]
-    tokens = []
-    for t in sorted(doc.counts):
-        if not 0 <= t < model.phi.shape[1]:
+    alpha_vec = cfg.alpha_vec()
+    K, V = model.phi.shape
+    terms = sorted(doc.counts)
+    for t in terms:
+        if not 0 <= t < V:
             raise IndexError(f"term id {t} outside model vocabulary")
-        tokens.extend([t] * doc.counts[t])
+    tokens = [t for t in terms for _ in range(doc.counts[t])]
     if not tokens:
-        return alpha / alpha.sum()
+        return alpha_vec / alpha_vec.sum()
 
     rng = np.random.default_rng(cfg.seed)
-    z = rng.integers(K, size=len(tokens))
-    n_k = np.bincount(z, minlength=K).astype(np.int64)
-    theta_acc = None
-    n_samples = 0
-    for sweep in range(1, cfg.sweeps + 1):
-        for i, t in enumerate(tokens):
-            n_k[z[i]] -= 1
-            p = model.phi[:, t] * (n_k + alpha)
-            p = p / p.sum()
-            z[i] = _categorical(np.cumsum(p), rng.random())
-            n_k[z[i]] += 1
-        if (cfg.readout == "thinned_average" and sweep > cfg.burn_in
-                and (sweep - cfg.burn_in) % cfg.sample_lag == 0):
-            est = (n_k + alpha) / (len(tokens) + alpha.sum())
-            theta_acc = est if theta_acc is None else theta_acc + est
-            n_samples += 1
-    if cfg.readout == "thinned_average" and n_samples > 0:
-        return theta_acc / n_samples
-    return (n_k + alpha) / (len(tokens) + alpha.sum())
+    z = rng.integers(K, size=len(tokens)).tolist()
+    n_k = np.bincount(z, minlength=K).tolist()
+    # only this document's columns: converting all of phi costs more than
+    # a short fold-in
+    weights = dict(zip(terms, model.phi[:, terms].T.tolist()))
+    alpha = alpha_vec.tolist()
+    topics = range(K)
+    last = K - 1
+
+    def sweep():
+        uniforms = rng.random(len(tokens)).tolist()
+        for n, t in enumerate(tokens):
+            k = z[n]
+            n_k[k] -= 1
+            w = weights[t]
+            total = 0.0
+            cum = []
+            for j in topics:
+                total += w[j] * (n_k[j] + alpha[j])
+                cum.append(total)
+            k = min(bisect_right(cum, uniforms[n] * total), last)
+            z[n] = k
+            n_k[k] += 1
+
+    def estimate():
+        return ((np.array(n_k) + alpha_vec) / (len(tokens) + alpha_vec.sum()),)
+
+    theta, = _run_chain(cfg, sweep, estimate)
+    return theta
 
 
 def generate_corpus(gcfg: GeneratorConfig) -> tuple[Corpus, np.ndarray, np.ndarray]:

@@ -236,8 +236,8 @@ def configure(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     """Read the INI-style config: one section per stage plus [paths], [knn]
-    and [run]."""
-    parser = configparser.ConfigParser()
+    and [run]. Values are read literally: a '%' is not interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise PipelineError(f"cannot read config file {path}")
     return configure(PipelineConfig(),

@@ -86,6 +86,27 @@ def exclude_token(state, m, n):
     state.n_k[k] -= 1
 
 
+# ------------------------------------------------------ direct formulas
+
+def tf_idf(term, doc, corpus):
+    """Term frequency in the document times ln(D / document frequency),
+    for one (term, document) pair: the oracle for `corpus.term_scores`."""
+    if term not in corpus.vocab.term_to_id:
+        raise KeyError(f"unknown term: {term!r}")
+    t = corpus.vocab.term_to_id[term]
+    f_td = int(np.count_nonzero(corpus.docs[doc].tokens == t))
+    if f_td == 0:
+        return 0.0
+    return f_td * math.log(corpus.num_docs / int(corpus.vocab.doc_freq[t]))
+
+
+def predict_distribution(h, model):
+    """Softmax over the vocabulary logits b + U h of a doc2vec model."""
+    logits = model.b + model.U @ h
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 # ----------------------------------------------------- finite differences
 
 def finite_difference_net_grads(net, x, target, eps=1e-4):

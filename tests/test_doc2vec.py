@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import predict_distribution
 from topicvec.corpus import build_corpus, cosine_similarity
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
                               build_windows, epoch_schedule, hidden_h, infer_vector,
                               init_model, log_prob_and_grads, ngram_spans,
-                              predict_distribution, subsample,
-                              train)
+                              subsample, train)
 
 SENTENCE = "el gato negro es bellissimo".split()
 
@@ -322,6 +323,42 @@ def test_inference_freezes_shared_parameters():
     assert np.array_equal(model.W, W0)
     assert np.array_equal(model.U, U0)
     assert np.array_equal(model.b, b0)
+
+
+def reference_infer_vector(model, doc_tokens, cfg):
+    """Fold-in written as training restricted to one document: a copy of the
+    model whose only D row is the fresh vector, stepped by the grad_doc of
+    log_prob_and_grads on the same subsampled windows."""
+    ids = np.asarray([model.term_to_id[t] for t in doc_tokens
+                      if t in model.term_to_id], dtype=np.int64)
+    rng = np.random.default_rng(cfg.seed)
+    span = 0.5 / model.config.dim
+    fresh = rng.uniform(-span, span, size=(1, model.config.dim))
+    ref = dataclasses.replace(model, D=fresh)
+    for alpha in epoch_schedule(cfg):
+        toks = subsample(ids, cfg.subsample, model.term_freq, rng)
+        if len(toks) == 0:
+            continue
+        for ctx_pos, center in build_windows(toks, cfg.window, model.config.mode, rng):
+            ctx = [int(toks[i]) for i in ctx_pos]
+            ref.D[0] += alpha * log_prob_and_grads(ref, 0, ctx, int(toks[center]))[3]
+    return ref.D[0]
+
+
+@pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])
+def test_inference_matches_training_step_reference(mode):
+    corp = toy_corpus()
+    model = train(corp, toy_config(max_epochs=5, mode=mode))
+    cfg = toy_config(max_epochs=8, mode=mode, subsample=0.05, seed=11)
+    rng = np.random.default_rng(4)
+    words = model.terms + ["zzz"]
+    for _ in range(10):
+        size = int(rng.integers(1, 15))
+        doc = [words[i] for i in rng.integers(len(words), size=size)]
+        if not any(w in model.term_to_id for w in doc):
+            continue
+        got = infer_vector(model, doc, cfg)
+        assert np.max(np.abs(got - reference_infer_vector(model, doc, cfg))) <= 1e-12
 
 
 def test_inference_deterministic():

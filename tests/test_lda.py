@@ -5,8 +5,8 @@ import pytest
 
 from oracles import (exclude_token, oracle_conditional, random_micro_instance,
                      state_from)
-from topicvec.corpus import build_corpus
-from topicvec.lda import (GeneratorConfig, LdaConfig, LdaState, _categorical,
+from topicvec.corpus import BagOfWords, build_corpus
+from topicvec.lda import (GeneratorConfig, LdaConfig, LdaModel, LdaState, _categorical,
                           estimate_phi_theta, format_topics, full_conditional,
                           generate_corpus, gibbs_sweep, infer_theta, init_state,
                           sample_dirichlet, top_words, train)
@@ -130,6 +130,39 @@ def reference_sweep(state, cfg, rng):
             state.n_kt[k, t] += 1
             state.n_mk[m, k] += 1
             state.n_k[k] += 1
+
+
+def reference_infer_theta(model, doc, cfg):
+    """Token-by-token fold-in with phi frozen: decrement, normalised
+    phi[:, t] * (n_k + alpha), inverse-CDF draw, increment; the readout
+    rule of train, written out."""
+    alpha = cfg.alpha_vec()
+    K = model.phi.shape[0]
+    tokens = []
+    for t in sorted(doc.counts):
+        tokens.extend([t] * doc.counts[t])
+    if not tokens:
+        return alpha / alpha.sum()
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.integers(K, size=len(tokens))
+    n_k = np.bincount(z, minlength=K).astype(np.int64)
+    theta_acc = None
+    n_samples = 0
+    for sweep in range(1, cfg.sweeps + 1):
+        for i, t in enumerate(tokens):
+            n_k[z[i]] -= 1
+            p = model.phi[:, t] * (n_k + alpha)
+            p = p / p.sum()
+            z[i] = _categorical(np.cumsum(p), rng.random())
+            n_k[z[i]] += 1
+        if (cfg.readout == "thinned_average" and sweep > cfg.burn_in
+                and (sweep - cfg.burn_in) % cfg.sample_lag == 0):
+            est = (n_k + alpha) / (len(tokens) + alpha.sum())
+            theta_acc = est if theta_acc is None else theta_acc + est
+            n_samples += 1
+    if cfg.readout == "thinned_average" and n_samples > 0:
+        return theta_acc / n_samples
+    return (n_k + alpha) / (len(tokens) + alpha.sum())
 
 
 def test_sweep_draws_match_full_conditional_reference():
@@ -265,7 +298,6 @@ def test_infer_empty_document_returns_prior_mean():
     corp = tiny_corpus()
     cfg = LdaConfig(num_topics=2, alpha=[0.3, 0.7], sweeps=5, burn_in=2, seed=0)
     model = train(corp, cfg)
-    from topicvec.corpus import BagOfWords
     theta = infer_theta(model, BagOfWords({}), cfg)
     assert theta == pytest.approx([0.3, 0.7], abs=1e-15)
 
@@ -278,6 +310,37 @@ def test_infer_deterministic():
     v1 = infer_theta(model, bag, cfg)
     v2 = infer_theta(model, bag, cfg)
     assert np.array_equal(v1, v2)
+
+
+def random_bag(rng, V, max_tokens):
+    ids = rng.integers(V, size=int(rng.integers(1, max_tokens + 1)))
+    terms, counts = np.unique(ids, return_counts=True)
+    return BagOfWords({int(t): int(c) for t, c in zip(terms, counts)})
+
+
+@pytest.mark.parametrize("readout", ["final_sample", "thinned_average"])
+def test_infer_draws_match_token_by_token_reference(readout):
+    rng = np.random.default_rng(1618)
+    cases = []
+    for _ in range(100):
+        docs, z, K, V, alpha, beta = random_micro_instance(rng)
+        sweeps = int(rng.integers(1, 9))
+        cfg = LdaConfig(num_topics=K, alpha=list(alpha), beta=list(beta),
+                        sweeps=sweeps, burn_in=int(rng.integers(sweeps)),
+                        sample_lag=int(rng.integers(1, 4)), readout=readout,
+                        seed=int(rng.integers(1 << 30)))
+        phi, _ = estimate_phi_theta(state_from(docs, z, K, V), cfg)
+        cases.append((phi, cfg, random_bag(rng, V, 10)))
+    # a topics-k50-sized case: many topics, a long document
+    for seed in range(3):
+        phi = rng.dirichlet(np.full(400, 0.1), size=50)
+        cfg = LdaConfig(num_topics=50, sweeps=30, burn_in=10, sample_lag=5,
+                        readout=readout, seed=seed)
+        cases.append((phi, cfg, random_bag(rng, 400, 150)))
+    for phi, cfg, bag in cases:
+        model = LdaModel(phi, None, cfg, [f"w{t}" for t in range(phi.shape[1])], None)
+        assert np.array_equal(infer_theta(model, bag, cfg),
+                              reference_infer_theta(model, bag, cfg))
 
 
 def test_infer_recovers_planted_topic():
@@ -294,7 +357,6 @@ def test_infer_recovers_planted_topic():
     block_terms = [f"w{t}" for t in range(5)]
     present = [corp.vocab.term_to_id[w] for w in block_terms
                if w in corp.vocab.term_to_id]
-    from topicvec.corpus import BagOfWords
     bag = BagOfWords({t: 4 for t in present})
     theta = infer_theta(model, bag, cfg)
 

@@ -191,6 +191,14 @@ seed = 99
     assert cfg.seed == 99
 
 
+def test_config_values_keep_percent_signs(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[knn]\ntitle = 100% Love\n\n[paths]\nout_dir = out%(x)s\n")
+    cfg = load_config(ini)
+    assert cfg.knn_title == "100% Love"
+    assert cfg.out_dir == "out%(x)s"
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     ini = tmp_path / "c.ini"
     ini.write_text("[lda]\nnum_tropics = 3\n")
