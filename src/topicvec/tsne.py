@@ -2,10 +2,23 @@
 
 High-dimensional affinities are Gaussian with per-point bandwidths found
 by a perplexity binary search, then symmetrized into a joint P. The
-low-dimensional kernel defaults to the Student-t (heavy-tailed) form; the
-plain Gaussian kernel is available as an option. Optimization is plain
-gradient descent on the KL divergence with a two-stage momentum schedule
-and optional early exaggeration.
+search scores each bandwidth with one exponential over the row: the
+entropy is log Z + beta * E[d^2], with the self entry removed and the
+nearest squared distance shifted out. The low-dimensional kernel
+defaults to the Student-t (heavy-tailed) form; the plain Gaussian kernel
+is available as an option. Optimization is plain gradient descent on
+the KL divergence with a two-stage momentum schedule and optional early
+exaggeration.
+
+One descent iteration computes the layout's squared distances once and
+shares them between Q and the gradient. It holds at most five n x n
+float64 matrices at once: P, the exaggerated P (during exaggeration
+only), Q, the Student-t divisor 1 + d^2, and one working matrix (the
+gradient weights, or log Q). The KL trace is a constant sum of P log P
+minus one sum of P log Q per iteration.
+
+Non-finite input, and a precomputed matrix that is not one of squared
+distances, raise ValueError before any work is done.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _FLOOR = 1e-12
+_LN2 = np.log(2.0)
 KERNELS = ("student_t", "gaussian")
 
 
@@ -88,11 +102,22 @@ def calibrate_sigma(sq_row, perp: float, self_index: int,
     log2(perp) within tol bits or the bisection budget runs out; the best
     bracketed value is returned either way (an exactly equidistant row has
     the same perplexity for every sigma, so any value is as good).
+
+    With beta = 1 / 2 sigma^2 and the squared distances d to the other
+    points shifted so the nearest is 0, the weights are w = exp(-beta d)
+    and the entropy in nats is log(sum w) + beta * sum(w d) / sum(w): one
+    exponential per evaluation, equal to the entropy of
+    `conditional_affinities` up to rounding.
     """
     target = np.log2(perp)
+    d = np.delete(np.asarray(sq_row, dtype=float), self_index)
+    d -= d.min()
 
     def achieved(sigma):
-        return np.log2(row_perplexity(conditional_affinities(sq_row, sigma, self_index)))
+        beta = 1.0 / (2.0 * sigma * sigma)
+        w = np.exp(-beta * d)
+        z = w.sum()
+        return (np.log(z) + beta * (w @ d) / z) / _LN2
 
     sigma = 1.0
     h = achieved(sigma)
@@ -132,26 +157,37 @@ def symmetrize(p_conditional: np.ndarray) -> np.ndarray:
     """Joint affinities (P + P^T) / 2n, floored at 1e-12 off the diagonal."""
     P = np.asarray(p_conditional, dtype=float)
     n = P.shape[0]
-    P = (P + P.T) / (2.0 * n)
-    P = np.maximum(P, _FLOOR)
+    P = P + P.T
+    P /= 2.0 * n
+    np.maximum(P, _FLOOR, out=P)
     np.fill_diagonal(P, 0.0)
     return P
 
 
-def low_dim_affinities(Y: np.ndarray, kernel: str) -> np.ndarray:
-    """Joint affinities of the embedded points, normalized over all pairs."""
+def _embedding_affinities(Y: np.ndarray, kernel: str):
+    """Q of the layout, and the Student-t divisor 1 + d^2 (None under the
+    Gaussian kernel), both from one squared-distance matrix."""
     d2 = squared_distances(Y)
     if kernel == "student_t":
-        num = 1.0 / (1.0 + d2)
+        d2 += 1.0
+        divisor = d2
+        Q = 1.0 / divisor
     elif kernel == "gaussian":
-        num = np.exp(-d2)
+        divisor = None
+        np.negative(d2, out=d2)
+        Q = np.exp(d2, out=d2)
     else:
         raise ValueError(f"kernel must be one of {KERNELS}")
-    np.fill_diagonal(num, 0.0)
-    Q = num / num.sum()
-    Q = np.maximum(Q, _FLOOR)
     np.fill_diagonal(Q, 0.0)
-    return Q
+    Q /= Q.sum()
+    np.maximum(Q, _FLOOR, out=Q)
+    np.fill_diagonal(Q, 0.0)
+    return Q, divisor
+
+
+def low_dim_affinities(Y: np.ndarray, kernel: str) -> np.ndarray:
+    """Joint affinities of the embedded points, normalized over all pairs."""
+    return _embedding_affinities(Y, kernel)[0]
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -159,21 +195,35 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
 
 
+def _sum_p_log(P: np.ndarray, M: np.ndarray) -> float:
+    """Sum of p_ij log m_ij over i != j, for square matrices whose
+    off-diagonal entries of M are positive (the diagonal is skipped)."""
+    with np.errstate(divide="ignore"):
+        L = np.log(M)
+    np.fill_diagonal(L, 0.0)
+    return float(P.ravel() @ L.ravel())
+
+
 def kl_and_gradient(P: np.ndarray, Q: np.ndarray, Y: np.ndarray,
-                    kernel: str) -> tuple[float, np.ndarray]:
+                    kernel: str, *, divisor: np.ndarray | None = None,
+                    want_kl: bool = True) -> tuple[float | None, np.ndarray]:
     """KL divergence and its gradient with respect to the coordinates.
 
     For both kernels the gradient of point i is 4 times the sum over j of
-    (p_ij - q_ij)(y_i - y_j), additionally damped by 1/(1 + d_ij^2) under
-    the Student-t kernel.
+    (p_ij - q_ij)(y_i - y_j), additionally divided by 1 + d_ij^2 under
+    the Student-t kernel. A caller that already holds that divisor for Y
+    passes it as `divisor`; with want_kl false the KL is not evaluated and
+    None stands in its place.
     """
     G = P - Q
     if kernel == "student_t":
-        G = G / (1.0 + squared_distances(Y))
+        if divisor is None:
+            divisor = 1.0 + squared_distances(Y)
+        G /= divisor
     elif kernel != "gaussian":
         raise ValueError(f"kernel must be one of {KERNELS}")
-    grad = 4.0 * (np.diag(G.sum(axis=1)) @ Y - G @ Y)
-    return kl_divergence(P, Q), grad
+    grad = 4.0 * (G.sum(axis=1)[:, None] * Y - G @ Y)
+    return (kl_divergence(P, Q) if want_kl else None), grad
 
 
 def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
@@ -197,27 +247,46 @@ def run(X, cfg: TsneConfig, precomputed: bool = False) -> TsneLayout:
     against the unexaggerated P.
     """
     X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        what = "precomputed distances" if precomputed else "X"
+        raise ValueError(f"{what} must be finite (found NaN or infinity)")
+    if precomputed:
+        _check_distances(X)
     d2 = X if precomputed else squared_distances(X)
     n = d2.shape[0]
-    if precomputed and d2.shape != (n, n):
-        raise ValueError("precomputed distances must be square")
     if n <= cfg.perplexity + 1:
         raise ValueError("need more points than perplexity + 1")
     if d2.max() == 0.0:
         raise ValueError("degenerate input: all points are identical")
 
     P = joint_affinities(d2, cfg.perplexity)
+    del X, d2  # the descent needs only P
+    p_log_p = _sum_p_log(P, P)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-2, size=(n, 2))
     Y_prev = Y.copy()
-    Q = low_dim_affinities(Y, cfg.kernel)
+    Q, divisor = _embedding_affinities(Y, cfg.kernel)
     trace = []
     for t in range(1, cfg.iterations + 1):
         P_step = P * cfg.exaggeration if t <= cfg.exaggeration_iters else P
-        _, grad = kl_and_gradient(P_step, Q, Y, cfg.kernel)
+        _, grad = kl_and_gradient(P_step, Q, Y, cfg.kernel, divisor=divisor,
+                                  want_kl=False)
+        del P_step, Q, divisor  # freed before the next layout's matrices
         step = -cfg.learning_rate * grad + cfg.momentum(t) * (Y - Y_prev)
         Y_prev = Y
         Y = Y + step
-        Q = low_dim_affinities(Y, cfg.kernel)
-        trace.append(kl_divergence(P, Q))
+        Q, divisor = _embedding_affinities(Y, cfg.kernel)
+        trace.append(p_log_p - _sum_p_log(P, Q))
     return TsneLayout(Y, trace[-1], np.asarray(trace))
+
+
+def _check_distances(d2: np.ndarray) -> None:
+    """Reject a precomputed matrix that is not one of squared distances."""
+    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
+        raise ValueError("precomputed distances must be square")
+    if np.any(d2 < 0.0):
+        raise ValueError("precomputed distances must be non-negative")
+    if not np.array_equal(d2, d2.T):
+        raise ValueError("precomputed distances must be symmetric")
+    if np.any(np.diagonal(d2) != 0.0):
+        raise ValueError("precomputed distances must have a zero diagonal")

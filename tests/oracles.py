@@ -154,3 +154,122 @@ def knn_sort_oracle(matrix, q, metric):
     """Full distance sort: row indices by distance, ties to the lower index."""
     d = knn_oracle_distances(matrix, q, metric)
     return sorted(range(len(d)), key=lambda i: (d[i], i))
+
+
+# ------------------------------------------------------------ exact t-SNE
+
+def _reference_squared_distances(X):
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _reference_conditional(sq_row, sigma, self_index):
+    logits = -np.asarray(sq_row, dtype=float) / (2.0 * sigma * sigma)
+    logits[self_index] = -np.inf
+    logits -= logits.max()
+    p = np.exp(logits)
+    return p / p.sum()
+
+
+def _reference_entropy_bits(p_row):
+    nz = p_row[p_row > 0]
+    return float(np.log2(2.0 ** (-np.sum(nz * np.log2(nz)))))
+
+
+def reference_calibrate_sigma(sq_row, perp, self_index, tol=1e-5,
+                              max_bisections=50):
+    """Perplexity search that normalizes the whole row for every sigma it
+    tries and takes the entropy of the normalized probabilities: the
+    oracle for `tsne.calibrate_sigma`, with the same bracketing and
+    bisection."""
+    target = np.log2(perp)
+
+    def achieved(sigma):
+        return _reference_entropy_bits(
+            _reference_conditional(sq_row, sigma, self_index))
+
+    sigma = 1.0
+    h = achieved(sigma)
+    if abs(h - target) < tol:
+        return sigma
+    if h < target:
+        lo = sigma
+        for _ in range(64):
+            sigma *= 2.0
+            h = achieved(sigma)
+            if h >= target:
+                break
+            lo = sigma
+        hi = sigma
+    else:
+        hi = sigma
+        for _ in range(64):
+            sigma /= 2.0
+            h = achieved(sigma)
+            if h <= target:
+                break
+            hi = sigma
+        lo = sigma
+    for _ in range(max_bisections):
+        sigma = 0.5 * (lo + hi)
+        h = achieved(sigma)
+        if abs(h - target) < tol:
+            return sigma
+        if h < target:
+            lo = sigma
+        else:
+            hi = sigma
+    return sigma
+
+
+def _reference_q(Y, kernel):
+    d2 = _reference_squared_distances(Y)
+    num = 1.0 / (1.0 + d2) if kernel == "student_t" else np.exp(-d2)
+    np.fill_diagonal(num, 0.0)
+    Q = np.maximum(num / num.sum(), 1e-12)
+    np.fill_diagonal(Q, 0.0)
+    return Q
+
+
+def _reference_kl(P, Q):
+    mask = P > 0
+    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+
+
+def reference_tsne_run(X, cfg, precomputed=False):
+    """Exact t-SNE written plainly: the oracle for `tsne.run`.
+
+    Each iteration recomputes the layout's distances for the gradient,
+    forms it with a dense diagonal matrix, and takes the KL with boolean
+    masks. Returns (Y, kl_trace).
+    """
+    X = np.asarray(X, dtype=float)
+    d2 = X if precomputed else _reference_squared_distances(X)
+    n = d2.shape[0]
+    P_cond = np.zeros((n, n))
+    for i in range(n):
+        sigma = reference_calibrate_sigma(d2[i], cfg.perplexity, i)
+        P_cond[i] = _reference_conditional(d2[i], sigma, i)
+    P = np.maximum((P_cond + P_cond.T) / (2.0 * n), 1e-12)
+    np.fill_diagonal(P, 0.0)
+
+    rng = np.random.default_rng(cfg.seed)
+    Y = rng.normal(0.0, 1e-2, size=(n, 2))
+    Y_prev = Y.copy()
+    Q = _reference_q(Y, cfg.kernel)
+    trace = []
+    for t in range(1, cfg.iterations + 1):
+        P_step = P * cfg.exaggeration if t <= cfg.exaggeration_iters else P
+        G = P_step - Q
+        if cfg.kernel == "student_t":
+            G = G / (1.0 + _reference_squared_distances(Y))
+        grad = 4.0 * (np.diag(G.sum(axis=1)) @ Y - G @ Y)
+        step = -cfg.learning_rate * grad + cfg.momentum(t) * (Y - Y_prev)
+        Y_prev = Y
+        Y = Y + step
+        Q = _reference_q(Y, cfg.kernel)
+        trace.append(_reference_kl(P, Q))
+    return Y, np.asarray(trace)

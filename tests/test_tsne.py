@@ -2,11 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_calibrate_sigma, reference_tsne_run
 
 from topicvec.tsne import (TsneConfig, calibrate_sigma, conditional_affinities,
                            joint_affinities, kl_and_gradient, kl_divergence,
                            low_dim_affinities, row_perplexity, run,
                            squared_distances, symmetrize)
+
+
+def awkward_data(n, seed, dups=0, simplex=0):
+    """Gaussian points whose first `dups` rows are one repeated point and
+    whose next `simplex` rows are scaled unit vectors in their own
+    coordinates, so those rows are equidistant from each other."""
+    rng = np.random.default_rng(seed)
+    X = np.hstack([rng.normal(size=(n, 5)), np.zeros((n, simplex))])
+    X[:dups] = X[0]
+    block = slice(dups, dups + simplex)
+    X[block] = 0.0
+    X[block, 5:] = 3.0 * np.eye(simplex)
+    return X
 
 
 def three_cluster_data(n_per=50, dim=10, spread=0.5, gap=20.0, seed=0):
@@ -79,6 +93,44 @@ def test_equidistant_row_reports_its_forced_perplexity():
     assert achieved == pytest.approx(n - 1, rel=1e-9)
 
 
+@pytest.mark.parametrize("n,perp,dups,simplex", [
+    (30, 5.0, 0, 0), (80, 12.5, 10, 0), (150, 20.0, 0, 30),
+    (300, 30.0, 25, 40)])
+def test_calibration_matches_reference_search(n, perp, dups, simplex):
+    d2 = squared_distances(awkward_data(n, seed=n, dups=dups, simplex=simplex))
+    fast = [calibrate_sigma(d2[i], perp, i) for i in range(n)]
+    slow = [reference_calibrate_sigma(d2[i], perp, i) for i in range(n)]
+    assert np.array_equal(fast, slow)
+
+
+def equidistant_and_tied_rows(n=30):
+    simplex = squared_distances(3.0 * np.eye(n))  # every row is equidistant
+    ties = np.round(squared_distances(np.random.default_rng(9).normal(size=(n, 2))))
+    return simplex, ties
+
+
+@pytest.mark.parametrize("perp", [2.0, 7.3, 28.5])
+def test_calibration_matches_reference_on_equidistant_rows(perp):
+    for rows in equidistant_and_tied_rows():
+        n = len(rows)
+        fast = [calibrate_sigma(rows[i], perp, i) for i in range(n)]
+        slow = [reference_calibrate_sigma(rows[i], perp, i) for i in range(n)]
+        assert np.array_equal(fast, slow)
+
+
+def test_calibration_at_the_limit_perplexity_meets_target():
+    # perp = n - 1 is reached only as sigma grows without bound, so the
+    # entropy lies within a few ulps of the target over a range of sigmas
+    # and either search may stop anywhere in it; run() never asks for it
+    rows = equidistant_and_tied_rows()[1]
+    n = len(rows)
+    for i in range(n):
+        for sigma in (calibrate_sigma(rows[i], n - 1, i),
+                      reference_calibrate_sigma(rows[i], n - 1, i)):
+            achieved = row_perplexity(conditional_affinities(rows[i], sigma, i))
+            assert abs(math.log2(achieved) - math.log2(n - 1)) < 1e-12
+
+
 def test_unreachable_perplexity_returns_best_effort():
     row = np.array([0.0, 1.0, 1.0, 1.0])
     sigma = calibrate_sigma(row, perp=2.0, self_index=0)  # forced perp is 3
@@ -144,6 +196,20 @@ def test_kl_zero_at_matching_distributions():
     assert np.allclose(grad, 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("kernel", ["student_t", "gaussian"])
+def test_gradient_with_divisor_and_without_kl_is_unchanged(kernel):
+    rng = np.random.default_rng(8)
+    P = joint_affinities(squared_distances(rng.normal(size=(20, 4))), 5.0)
+    Y = rng.normal(size=(20, 2))
+    Q = low_dim_affinities(Y, kernel)
+    kl, grad = kl_and_gradient(P, Q, Y, kernel)
+    divisor = 1.0 + squared_distances(Y) if kernel == "student_t" else None
+    none, fused = kl_and_gradient(P, Q, Y, kernel, divisor=divisor,
+                                  want_kl=False)
+    assert kl == kl_divergence(P, Q) and none is None
+    assert np.array_equal(grad, fused)
+
+
 def test_kl_nonnegative():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -207,6 +273,84 @@ def test_too_few_points_rejected():
     X = np.random.default_rng(0).normal(size=(10, 3))
     with pytest.raises(ValueError):
         run(X, TsneConfig(perplexity=30, iterations=10))
+
+
+# cases of (n, kernel, learning rate, exaggeration_iters, precomputed,
+# repeated rows, equidistant rows); the Gaussian kernel diverges at the
+# default learning rate
+REFERENCE_RUNS = [
+    (30, "student_t", 100.0, 50, False, 0, 0),
+    (60, "gaussian", 10.0, 0, True, 6, 8),
+    (120, "student_t", 100.0, 0, True, 0, 20),
+    (150, "gaussian", 5.0, 20, False, 10, 0),
+    (300, "student_t", 100.0, 25, False, 20, 30),
+]
+
+
+@pytest.mark.parametrize("n,kernel,rate,exag,precomputed,dups,simplex",
+                         REFERENCE_RUNS)
+def test_run_matches_reference_descent(n, kernel, rate, exag, precomputed,
+                                       dups, simplex):
+    X = awkward_data(n, seed=n + 1, dups=dups, simplex=simplex)
+    if precomputed:
+        X = squared_distances(X)
+    cfg = TsneConfig(perplexity=min(20.0, n / 4), iterations=60,
+                     learning_rate=rate, kernel=kernel,
+                     exaggeration_iters=exag, seed=n)
+    layout = run(X, cfg, precomputed=precomputed)
+    Y, trace = reference_tsne_run(X, cfg, precomputed=precomputed)
+    assert np.array_equal(layout.Y, Y)
+    assert np.all(np.abs(layout.kl_trace - trace) <= 1e-12 * np.abs(trace))
+    assert layout.kl == layout.kl_trace[-1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    X = np.random.default_rng(15).normal(size=(20, 3))
+    X[4, 1] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        run(X, TsneConfig(perplexity=5, iterations=10))
+
+
+def test_non_finite_check_precedes_degenerate_check():
+    X = np.ones((20, 3))  # identical points, which alone is "degenerate"
+    X[7, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        run(X, TsneConfig(perplexity=5, iterations=10))
+    d2 = np.zeros((20, 20))
+    d2[3, 5] = d2[5, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        run(d2, TsneConfig(perplexity=5, iterations=10), precomputed=True)
+
+
+def _corrupted_distances(fault):
+    d2 = squared_distances(np.random.default_rng(16).normal(size=(20, 3)))
+    if fault == "finite":
+        d2[2, 9] = d2[9, 2] = np.inf
+    elif fault == "non-negative":
+        d2[2, 9] = d2[9, 2] = -1.0
+    elif fault == "symmetric":
+        d2[2, 9] += 1.0
+    elif fault == "zero diagonal":
+        d2[4, 4] = 0.5
+    elif fault == "square":
+        d2 = d2[:, :-1]
+    return d2
+
+
+@pytest.mark.parametrize("fault", ["finite", "non-negative", "symmetric",
+                                   "zero diagonal", "square"])
+def test_invalid_precomputed_distances_rejected(fault):
+    with pytest.raises(ValueError, match=f"precomputed distances must .*{fault}"):
+        run(_corrupted_distances(fault), TsneConfig(perplexity=5, iterations=10),
+            precomputed=True)
+
+
+def test_negative_asymmetric_entry_named_as_negative():
+    d2 = _corrupted_distances(None)
+    d2[2, 9] = -1.0  # both faults at once; the sign is checked first
+    with pytest.raises(ValueError, match="non-negative"):
+        run(d2, TsneConfig(perplexity=5, iterations=10), precomputed=True)
 
 
 def test_monotone_descent_without_momentum():
