@@ -103,6 +103,12 @@ def config_from_args(args) -> pl.PipelineConfig:
     return pl.configure(cfg, settings)
 
 
+# Bad settings, inputs or archives: reported in one line with exit status 1.
+# Any other exception is a bug and propagates with its traceback.
+EXPECTED_ERRORS = (pl.PipelineError, pl.ArchiveError, ValueError, LookupError,
+                   OSError, MemoryError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -110,7 +116,7 @@ def main(argv=None) -> int:
         return pl.run(args.command, cfg,
                       features_path=getattr(args, "features", None),
                       model_path=getattr(args, "model", None))
-    except Exception as e:
+    except EXPECTED_ERRORS as e:
         print(f"topicvec: error: {e}", file=sys.stderr)
         return 1
 

@@ -56,9 +56,6 @@ class BagOfWords:
 
     counts: dict[int, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass
 class Corpus:
@@ -72,12 +69,6 @@ class Corpus:
     @property
     def num_terms(self) -> int:
         return len(self.vocab)
-
-    def bag_of_words(self, m: int) -> BagOfWords:
-        counts: dict[int, int] = {}
-        for t in self.docs[m].tokens:
-            counts[int(t)] = counts.get(int(t), 0) + 1
-        return BagOfWords(counts)
 
 
 def preprocess_document(raw: str, cfg: PreprocessConfig) -> list[str]:

@@ -5,7 +5,8 @@ its context word vectors; pvdbow predicts a word sampled from each text
 window from the document vector alone. Training ascends the average log
 probability by per-instance gradient steps with a multiplicative
 learning-rate decay. Training, fold-in (`infer_vector`) and
-`avg_log_prob` share one forward/backward step.
+`avg_log_prob` share one forward/backward step, and training and fold-in
+take each epoch's instances from one routine.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class Doc2VecConfig:
             raise ValueError("subsample must be positive")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
+        if self.alpha_floor > self.alpha0:
+            raise ValueError("alpha_floor must not exceed alpha0 "
+                             "(no epoch would run)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0.0 < self.decay < 1.0:
@@ -75,11 +79,6 @@ def epoch_schedule(cfg: Doc2VecConfig) -> list[float]:
     return alphas
 
 
-def ngram_spans(tokens, n: int) -> list[tuple[int, ...]]:
-    """Positions of every contiguous n-token span."""
-    return [tuple(range(i, i + n)) for i in range(len(tokens) - n + 1)]
-
-
 def build_windows(doc_tokens, window: int, mode: str,
                   rng: np.random.Generator | None = None):
     """Training instances as (context positions, center position) pairs.
@@ -102,11 +101,8 @@ def build_windows(doc_tokens, window: int, mode: str,
         if rng is None:
             raise ValueError("pvdbow windowing needs an rng to sample targets")
         span_len = min(window, n)
-        out = []
-        for span in ngram_spans(doc_tokens, span_len):
-            target = span[int(rng.integers(len(span)))]
-            out.append(((), target))
-        return out
+        return [((), i + int(rng.integers(span_len)))
+                for i in range(n - span_len + 1)]
     raise ValueError(f"unknown mode: {mode!r}")
 
 
@@ -208,20 +204,17 @@ def init_model(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
     return _init_with_rng(corpus, cfg, np.random.default_rng(cfg.seed))
 
 
-def _train_instances(model, doc_ids, m, alpha, rng):
-    cfg = model.config
-    toks = subsample(doc_ids, cfg.subsample, model.term_freq, rng)
-    if len(toks) == 0:
-        return
-    for ctx_pos, center in build_windows(toks, cfg.window, cfg.mode, rng):
-        ctx_ids = [int(toks[i]) for i in ctx_pos]
-        target = int(toks[center])
-        _, gU, gb, gdoc, gctx = log_prob_and_grads(model, m, ctx_ids, target)
-        model.U += alpha * gU
-        model.b += alpha * gb
-        model.D[m] += alpha * gdoc
-        for c in ctx_ids:
-            model.W[c] += alpha * gctx
+def _instances(model: EmbeddingModel, ids: np.ndarray, cfg: Doc2VecConfig,
+               rng: np.random.Generator) -> list[tuple[list[int], int]]:
+    """One epoch's (context ids, target id) pairs for one document of model
+    ids: `subsample`, then `build_windows`, then the id lookup. The window
+    and threshold come from `cfg`, the mode from the model. Training and
+    fold-in both take their instances from here."""
+    toks = subsample(ids, cfg.subsample, model.term_freq, rng).tolist()
+    if not toks:
+        return []
+    return [([toks[i] for i in ctx_pos], toks[center]) for ctx_pos, center
+            in build_windows(toks, cfg.window, model.config.mode, rng)]
 
 
 def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
@@ -238,8 +231,14 @@ def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
     docs = _corpus_model_ids(corpus, model)
     for alpha in epoch_schedule(cfg):
         for m, doc_ids in enumerate(docs):
-            if len(doc_ids):
-                _train_instances(model, doc_ids, m, alpha, rng)
+            for ctx_ids, target in _instances(model, doc_ids, cfg, rng):
+                _, gU, gb, gdoc, gctx = log_prob_and_grads(model, m, ctx_ids,
+                                                           target)
+                model.U += alpha * gU
+                model.b += alpha * gb
+                model.D[m] += alpha * gdoc
+                for c in ctx_ids:
+                    model.W[c] += alpha * gctx
     return model
 
 
@@ -282,10 +281,6 @@ def infer_vector(model: EmbeddingModel, doc_tokens, cfg: Doc2VecConfig) -> np.nd
     v = rng.uniform(-span, span, size=model.config.dim)
     mode = model.config.mode
     for alpha in epoch_schedule(cfg):
-        toks = subsample(ids, cfg.subsample, model.term_freq, rng)
-        if len(toks) == 0:
-            continue
-        for ctx_pos, center in build_windows(toks, cfg.window, mode, rng):
-            ctx_ids = [int(toks[i]) for i in ctx_pos]
-            v += alpha * _step(model, v, ctx_ids, int(toks[center]), mode)[3]
+        for ctx_ids, target in _instances(model, ids, cfg, rng):
+            v += alpha * _step(model, v, ctx_ids, target, mode)[3]
     return v

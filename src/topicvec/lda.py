@@ -6,7 +6,10 @@ Row-stochastic read-outs (phi for topics over terms, theta for documents
 over topics) are computed from counts plus the Dirichlet priors.
 Training and fold-in of an unseen document (`infer_theta`, with phi
 frozen) run one chain routine for burn-in, thinning and readout, and draw
-each topic the same way.
+each topic the same way. Their per-token loops (`gibbs_sweep` and the
+sweep inside `infer_theta`) stay separate, because a shared per-token
+kernel would add a call or a list to every token of the hottest loop;
+tests/test_lda.py pins each to a token-by-token reference.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class LdaConfig:
             raise ValueError("sample_lag must be >= 1")
         if self.readout not in ("final_sample", "thinned_average"):
             raise ValueError("readout must be 'final_sample' or 'thinned_average'")
+        self.alpha_vec()  # its length and sign; beta's length needs the vocabulary
+        if not np.all(np.asarray(self.beta, dtype=float) > 0):
+            raise ValueError("beta entries must be positive")
 
     def alpha_vec(self) -> np.ndarray:
         if self.alpha is None:
@@ -56,13 +62,10 @@ class LdaConfig:
 
     def beta_vec(self, num_terms: int) -> np.ndarray:
         if np.isscalar(self.beta):
-            b = np.full(num_terms, float(self.beta))
-        else:
-            b = np.asarray(self.beta, dtype=float)
-            if b.shape != (num_terms,):
-                raise ValueError("beta vector must have one entry per term")
-        if not np.all(b > 0):
-            raise ValueError("beta entries must be positive")
+            return np.full(num_terms, float(self.beta))
+        b = np.asarray(self.beta, dtype=float)
+        if b.shape != (num_terms,):
+            raise ValueError("beta vector must have one entry per term")
         return b
 
 

@@ -18,7 +18,6 @@ from . import doc2vec as d2v_mod
 from . import lda as lda_mod
 from . import neighbors as nn_mod
 from . import tsne as tsne_mod
-from .autoencoder import FeedforwardNet
 from .corpus import Corpus, PreprocessConfig, build_corpus
 from .doc2vec import Doc2VecConfig, EmbeddingModel
 from .lda import LdaConfig, LdaModel
@@ -65,13 +64,6 @@ def save_model(model, path) -> None:
                   "term_freq": model.term_freq}
         extra = {"config": dataclasses.asdict(model.config),
                  "terms": model.terms, "labels": model.labels}
-    elif isinstance(model, FeedforwardNet):
-        kind = "ffnet"
-        arrays = {}
-        for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays[f"w{l}"] = w
-            arrays[f"b{l}"] = b
-        extra = {"layer_sizes": model.layer_sizes, "activations": model.activations}
     else:
         raise TypeError(f"cannot archive objects of type {type(model).__name__}")
     meta = {"version": ARCHIVE_VERSION, "kind": kind, **extra}
@@ -96,7 +88,7 @@ def load_model(path, kind: str | None = None):
             f"{path}: archive version {meta.get('version')!r}, "
             f"expected {ARCHIVE_VERSION}")
     found = meta.get("kind")
-    if found not in ("lda", "doc2vec", "ffnet"):
+    if found not in ("lda", "doc2vec"):
         raise CorruptArchiveError(f"{path}: unknown model kind {found!r}")
     if kind is not None and found != kind:
         raise KindMismatchError(f"{path}: holds a {found!r} model, "
@@ -107,18 +99,12 @@ def load_model(path, kind: str | None = None):
             cfg = LdaConfig(**meta["config"])
             return LdaModel(arrays["phi"], arrays["theta"], cfg,
                             list(meta["terms"]), arrays["doc_topic_counts"])
-        if found == "doc2vec":
-            cfg = Doc2VecConfig(**meta["config"])
-            terms = list(meta["terms"])
-            return EmbeddingModel(arrays["W"], arrays["D"], arrays["U"],
-                                  arrays["b"], cfg, terms,
-                                  {t: i for i, t in enumerate(terms)},
-                                  arrays["term_freq"], list(meta["labels"]))
-        sizes = list(meta["layer_sizes"])
-        L = len(sizes) - 1
-        return FeedforwardNet(sizes, [arrays[f"w{l}"] for l in range(L)],
-                              [arrays[f"b{l}"] for l in range(L)],
-                              list(meta["activations"]))
+        cfg = Doc2VecConfig(**meta["config"])
+        terms = list(meta["terms"])
+        return EmbeddingModel(arrays["W"], arrays["D"], arrays["U"],
+                              arrays["b"], cfg, terms,
+                              {t: i for i, t in enumerate(terms)},
+                              arrays["term_freq"], list(meta["labels"]))
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptArchiveError(f"{path}: invalid {found} archive ({e})") from e
 
@@ -238,7 +224,12 @@ def load_config(path) -> PipelineConfig:
     """Read the INI-style config: one section per stage plus [paths], [knn]
     and [run]. Values are read literally: a '%' is not interpolation."""
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as e:
+        detail = " ".join(str(e).split())  # configparser spans several lines
+        raise PipelineError(f"malformed config file {path}: {detail}") from None
+    if not found:
         raise PipelineError(f"cannot read config file {path}")
     return configure(PipelineConfig(),
                      {name: dict(parser[name]) for name in parser.sections()})

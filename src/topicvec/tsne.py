@@ -18,11 +18,13 @@ gradient weights, or log Q). The KL trace is a constant sum of P log P
 minus one sum of P log Q per iteration.
 
 Non-finite input, and a precomputed matrix that is not one of squared
-distances, raise ValueError before any work is done.
+distances, raise ValueError before any work is done. A descent that
+diverges raises ValueError at the first iteration whose KL is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +54,15 @@ class TsneConfig:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        for name in ("momentum_initial", "momentum_final"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.momentum_switch < 0:
+            raise ValueError("momentum_switch must be >= 0")
+        if self.exaggeration <= 0:
+            raise ValueError("exaggeration must be positive")
+        if self.exaggeration_iters < 0:
+            raise ValueError("exaggeration_iters must be >= 0")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
 
@@ -276,7 +287,12 @@ def run(X, cfg: TsneConfig, precomputed: bool = False) -> TsneLayout:
         Y_prev = Y
         Y = Y + step
         Q, divisor = _embedding_affinities(Y, cfg.kernel)
-        trace.append(p_log_p - _sum_p_log(P, Q))
+        kl = p_log_p - _sum_p_log(P, Q)
+        if not math.isfinite(kl):
+            raise ValueError(f"t-SNE diverged: the KL divergence is not finite "
+                             f"at iteration {t} with learning_rate "
+                             f"{cfg.learning_rate}")
+        trace.append(kl)
     return TsneLayout(Y, trace[-1], np.asarray(trace))
 
 

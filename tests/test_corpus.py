@@ -102,13 +102,6 @@ def test_doc_freq_recomputable_from_docs(docs):
     assert np.all(corp.vocab.doc_freq <= corp.num_docs)
 
 
-def test_bag_of_words_totals_match():
-    corp = corpus_from([["cat", "cat", "dog"], ["dog"]])
-    bag = corp.bag_of_words(0)
-    assert bag.total() == 3
-    assert all(c > 0 for c in bag.counts.values())
-
-
 # -------------------------------------------------------------------- tf-idf
 
 def test_tfidf_zero_when_term_in_every_document():

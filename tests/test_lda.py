@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ def test_infer_deterministic():
     corp = tiny_corpus()
     cfg = LdaConfig(num_topics=2, sweeps=10, burn_in=5, seed=4)
     model = train(corp, cfg)
-    bag = corp.bag_of_words(0)
+    bag = BagOfWords(dict(Counter(corp.docs[0].tokens.tolist())))
     v1 = infer_theta(model, bag, cfg)
     v2 = infer_theta(model, bag, cfg)
     assert np.array_equal(v1, v2)

@@ -7,8 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from topicvec import cli
-from topicvec.autoencoder import NetTrainConfig, train_autoencoder
+from topicvec import cli, pipeline
 from topicvec.corpus import build_corpus
 from topicvec.doc2vec import Doc2VecConfig
 from topicvec.doc2vec import train as d2v_train
@@ -51,17 +50,6 @@ def test_doc2vec_round_trip_is_bit_exact(small_corpus, tmp_path):
         assert np.array_equal(getattr(model, field), getattr(back, field))
     assert back.labels == model.labels
     assert back.term_to_id == model.term_to_id
-
-
-def test_ffnet_round_trip(tmp_path):
-    net = train_autoencoder(np.eye(4), 2, NetTrainConfig(epochs=2, seed=0))
-    path = tmp_path / "net.npz"
-    save_model(net, path)
-    back = load_model(path, kind="ffnet")
-    assert back.layer_sizes == net.layer_sizes
-    assert back.activations == net.activations
-    for a, b in zip(net.weights, back.weights):
-        assert np.array_equal(a, b)
 
 
 def test_truncated_archive_reports_corruption(small_corpus, tmp_path):
@@ -213,7 +201,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("lda", "num_words", "0"), ("lda", "seed", "3"),
     ("doc2vec", "dim", "0"), ("doc2vec", "min_count", "0"),
     ("doc2vec", "subsample", "0"), ("doc2vec", "alpha0", "0"),
-    ("doc2vec", "max_epochs", "0"), ("tsne", "perplexity", "-5"),
+    ("doc2vec", "max_epochs", "0"), ("doc2vec", "alpha_floor", "0.5"),
+    ("lda", "alpha", "-1"), ("lda", "alpha", [0.5, 0.5]), ("lda", "beta", "0"),
+    ("tsne", "perplexity", "-5"), ("tsne", "exaggeration", "0"),
+    ("tsne", "exaggeration_iters", "-1"), ("tsne", "momentum_switch", "-1"),
+    ("tsne", "momentum_initial", "-0.1"), ("tsne", "momentum_final", "1"),
     ("knn", "k", "0"), ("knn", "metric", "manhattan"),
 ])
 def test_configure_rejects_bad_settings_by_address(section, key, value):
@@ -401,6 +393,11 @@ def raw_fixture(tmp_path):
     ("knn", ["--k", "0"], "[knn] k"),
     ("knn", "[knn]\nk = 0", "[knn] k"),
     ("lda-train", "[lda]\nreadout = average", "[lda] readout"),
+    ("lda-train", ["--alpha", "-1"], "[lda] alpha"),
+    ("lda-train", ["--beta", "0"], "[lda] beta"),
+    ("doc2vec-train", "[doc2vec]\nalpha_floor = 0.5", "[doc2vec] alpha_floor"),
+    ("tsne", "[tsne]\nexaggeration = -4", "[tsne] exaggeration"),
+    ("tsne", "[tsne]\nmomentum_final = 1.0", "[tsne] momentum_final"),
     ("preprocess", "[preprocess]\nstopwords = the", "[preprocess] stopwords"),
 ])
 def test_cli_bad_setting_fails_before_any_output(tmp_path, capsys, command,
@@ -417,6 +414,45 @@ def test_cli_bad_setting_fails_before_any_output(tmp_path, capsys, command,
         argv += ["--config", str(tmp_path / "bad.ini")]
     assert cli.main(argv) == 1
     assert address in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["num_topics = 3", "[lda]\ngarbage",
+                                  "[lda]\nsweeps = 3\nsweeps = 4"])
+def test_cli_malformed_config_fails_in_one_line(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["lda-train", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("topicvec: error: ")
+    assert str(ini) in err
+    assert not out.exists()
+
+
+def test_cli_lets_a_bug_propagate_with_its_traceback(tmp_path, monkeypatch):
+    inputs, features = raw_fixture(tmp_path)
+
+    def broken_stage(*args):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(pipeline, "run_tsne", broken_stage)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["tsne", *inputs, "--features", features,
+                  "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cli_gaussian_divergence_fails_without_output(tmp_path, capsys):
+    inputs, _ = raw_fixture(tmp_path)
+    fpath = tmp_path / "f.csv"
+    write_matrix_csv(fpath, np.random.default_rng(0).normal(size=(120, 6)))
+    (tmp_path / "titles.txt").write_text("".join(f"t{i}\n" for i in range(120)))
+    out = tmp_path / "out"
+    rc = cli.main(["tsne", *inputs, "--features", str(fpath), "--out", str(out),
+                   "--perplexity", "15", "--kernel", "gaussian"])
+    assert rc == 1
+    assert "iteration 5 with learning_rate 100" in capsys.readouterr().err
     assert not out.exists()
 
 

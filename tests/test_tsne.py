@@ -323,6 +323,20 @@ def test_non_finite_check_precedes_degenerate_check():
         run(d2, TsneConfig(perplexity=5, iterations=10), precomputed=True)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rate,diverges_at", [(10, None), (50, 7), (100, 5)])
+def test_gaussian_divergence_stops_at_first_non_finite_kl(rate, diverges_at):
+    X = np.random.default_rng(0).normal(size=(120, 6))
+    cfg = TsneConfig(perplexity=15, kernel="gaussian", learning_rate=rate)
+    if diverges_at is None:
+        layout = run(X, cfg)
+        assert np.all(np.isfinite(layout.Y)) and np.all(np.isfinite(layout.kl_trace))
+        return
+    with pytest.raises(ValueError, match=f"not finite at iteration {diverges_at} "
+                                         f"with learning_rate {rate}"):
+        run(X, cfg)
+
+
 def _corrupted_distances(fault):
     d2 = squared_distances(np.random.default_rng(16).normal(size=(20, 3)))
     if fault == "finite":
