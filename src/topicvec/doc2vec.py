@@ -129,13 +129,15 @@ def hidden_h(doc_vec: np.ndarray, context_vecs, mode: str) -> np.ndarray:
 
 
 def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
-          target_id: int, mode: str):
-    """Forward/backward pass of one instance against the exact softmax:
-    log probability of the target, the hidden vector h, the output error
-    (one-hot target minus prediction, which is also the bias gradient), and
-    ascent gradients for the document vector and the shared context
-    direction (to be split equally among contributing vectors)."""
+          target_id: int):
+    """Forward/backward pass of one instance against the exact softmax, in
+    the model's mode: log probability of the target, the hidden vector h,
+    the output error (one-hot target minus prediction, which is also the
+    bias gradient), and ascent gradients for the document vector and the
+    shared context direction (to be split equally among contributing
+    vectors)."""
     ctx_vecs = model.W[list(context_ids)] if len(context_ids) else ()
+    mode = model.config.mode
     h = hidden_h(doc_vec, ctx_vecs, mode)
     logits = model.b + model.U @ h
     shifted = logits - logits.max()
@@ -152,13 +154,12 @@ def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
 
 
 def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
-                       context_ids, target_id: int, mode: str | None = None):
+                       context_ids, target_id: int):
     """Log probability of the target word for one instance, plus ascent
     gradients for U, b, the document vector, and the shared context
     direction (to be split equally among contributing vectors)."""
     logp, h, err, grad_doc, grad_ctx = _step(
-        model, model.D[doc_index], context_ids, target_id,
-        mode or model.config.mode)
+        model, model.D[doc_index], context_ids, target_id)
     return logp, np.outer(err, h), err, grad_doc, grad_ctx
 
 
@@ -258,7 +259,7 @@ def avg_log_prob(model: EmbeddingModel, corpus: Corpus) -> float:
             windows = [((), i) for i in range(len(toks))]
         for ctx_pos, center in windows:
             ctx_ids = [int(toks[i]) for i in ctx_pos]
-            total += _step(model, model.D[m], ctx_ids, int(toks[center]), mode)[0]
+            total += _step(model, model.D[m], ctx_ids, int(toks[center]))[0]
             count += 1
     if count == 0:
         raise ValueError("corpus has no in-vocabulary tokens")
@@ -279,8 +280,7 @@ def infer_vector(model: EmbeddingModel, doc_tokens, cfg: Doc2VecConfig) -> np.nd
     rng = np.random.default_rng(cfg.seed)
     span = 0.5 / model.config.dim
     v = rng.uniform(-span, span, size=model.config.dim)
-    mode = model.config.mode
     for alpha in epoch_schedule(cfg):
         for ctx_ids, target in _instances(model, ids, cfg, rng):
-            v += alpha * _step(model, v, ctx_ids, target, mode)[3]
+            v += alpha * _step(model, v, ctx_ids, target)[3]
     return v

@@ -17,9 +17,11 @@ only), Q, the Student-t divisor 1 + d^2, and one working matrix (the
 gradient weights, or log Q). The KL trace is a constant sum of P log P
 minus one sum of P log Q per iteration.
 
-Non-finite input, and a precomputed matrix that is not one of squared
-distances, raise ValueError before any work is done. A descent that
-diverges raises ValueError at the first iteration whose KL is not finite.
+`run` takes feature rows. Non-finite input raises ValueError before any
+work is done. A descent that diverges raises ValueError at the first
+iteration whose KL is not finite. The plain references these routines
+are checked against, including the masked KL and the row entropy, live
+in the test suite (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -99,12 +101,6 @@ def conditional_affinities(sq_row, sigma: float, self_index: int) -> np.ndarray:
     return p / p.sum()
 
 
-def row_perplexity(p_row: np.ndarray) -> float:
-    """2 to the Shannon entropy of a neighbor distribution."""
-    nz = p_row[p_row > 0]
-    return float(2.0 ** (-np.sum(nz * np.log2(nz))))
-
-
 def calibrate_sigma(sq_row, perp: float, self_index: int,
                     tol: float = 1e-5, max_bisections: int = 50) -> float:
     """Bandwidth whose neighbor distribution has the requested perplexity.
@@ -175,35 +171,27 @@ def symmetrize(p_conditional: np.ndarray) -> np.ndarray:
     return P
 
 
-def _embedding_affinities(Y: np.ndarray, kernel: str):
-    """Q of the layout, and the Student-t divisor 1 + d^2 (None under the
-    Gaussian kernel), both from one squared-distance matrix."""
+def low_dim_affinities(Y: np.ndarray, kernel: str):
+    """Joint affinities Q of the embedded points, normalized over all
+    pairs, and the Student-t divisor 1 + d^2 (None under the Gaussian
+    kernel), both from one squared-distance matrix."""
     d2 = squared_distances(Y)
     if kernel == "student_t":
         d2 += 1.0
         divisor = d2
         Q = 1.0 / divisor
-    elif kernel == "gaussian":
+    else:
         divisor = None
         np.negative(d2, out=d2)
         Q = np.exp(d2, out=d2)
-    else:
-        raise ValueError(f"kernel must be one of {KERNELS}")
     np.fill_diagonal(Q, 0.0)
-    Q /= Q.sum()
+    # a diverged layout can underflow every weight; the 0 / 0 NaNs then
+    # make run() stop at a non-finite KL
+    with np.errstate(invalid="ignore"):
+        Q /= Q.sum()
     np.maximum(Q, _FLOOR, out=Q)
     np.fill_diagonal(Q, 0.0)
     return Q, divisor
-
-
-def low_dim_affinities(Y: np.ndarray, kernel: str) -> np.ndarray:
-    """Joint affinities of the embedded points, normalized over all pairs."""
-    return _embedding_affinities(Y, kernel)[0]
-
-
-def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    mask = P > 0
-    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
 
 
 def _sum_p_log(P: np.ndarray, M: np.ndarray) -> float:
@@ -216,25 +204,18 @@ def _sum_p_log(P: np.ndarray, M: np.ndarray) -> float:
 
 
 def kl_and_gradient(P: np.ndarray, Q: np.ndarray, Y: np.ndarray,
-                    kernel: str, *, divisor: np.ndarray | None = None,
-                    want_kl: bool = True) -> tuple[float | None, np.ndarray]:
-    """KL divergence and its gradient with respect to the coordinates.
+                    divisor: np.ndarray | None) -> np.ndarray:
+    """Gradient of the KL divergence with respect to the coordinates.
 
-    For both kernels the gradient of point i is 4 times the sum over j of
-    (p_ij - q_ij)(y_i - y_j), additionally divided by 1 + d_ij^2 under
-    the Student-t kernel. A caller that already holds that divisor for Y
-    passes it as `divisor`; with want_kl false the KL is not evaluated and
-    None stands in its place.
+    The gradient of point i is 4 times the sum over j of
+    (p_ij - q_ij)(y_i - y_j), divided by 1 + d_ij^2 under the Student-t
+    kernel. Q and `divisor` are the pair `low_dim_affinities` returns
+    for Y.
     """
     G = P - Q
-    if kernel == "student_t":
-        if divisor is None:
-            divisor = 1.0 + squared_distances(Y)
+    if divisor is not None:
         G /= divisor
-    elif kernel != "gaussian":
-        raise ValueError(f"kernel must be one of {KERNELS}")
-    grad = 4.0 * (G.sum(axis=1)[:, None] * Y - G @ Y)
-    return (kl_divergence(P, Q) if want_kl else None), grad
+    return 4.0 * (G.sum(axis=1)[:, None] * Y - G @ Y)
 
 
 def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
@@ -247,23 +228,19 @@ def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     return symmetrize(P_cond)
 
 
-def run(X, cfg: TsneConfig, precomputed: bool = False) -> TsneLayout:
-    """Embed points into the plane.
+def run(X, cfg: TsneConfig) -> TsneLayout:
+    """Embed the n rows of the feature matrix X into the plane.
 
-    X is an n x F feature matrix, or an n x n matrix of squared distances
-    when precomputed is true. The initial layout is drawn from a tight
-    Gaussian; each iteration takes a gradient descent step on the KL
-    divergence plus a momentum term. Early exaggeration scales P for the
-    first exaggeration_iters iterations; the KL trace is always recorded
-    against the unexaggerated P.
+    The initial layout is drawn from a tight Gaussian; each iteration
+    takes a gradient descent step on the KL divergence plus a momentum
+    term. Early exaggeration scales P for the first exaggeration_iters
+    iterations; the KL trace is always recorded against the
+    unexaggerated P.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
-        what = "precomputed distances" if precomputed else "X"
-        raise ValueError(f"{what} must be finite (found NaN or infinity)")
-    if precomputed:
-        _check_distances(X)
-    d2 = X if precomputed else squared_distances(X)
+        raise ValueError("X must be finite (found NaN or infinity)")
+    d2 = squared_distances(X)
     n = d2.shape[0]
     if n <= cfg.perplexity + 1:
         raise ValueError("need more points than perplexity + 1")
@@ -276,17 +253,16 @@ def run(X, cfg: TsneConfig, precomputed: bool = False) -> TsneLayout:
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-2, size=(n, 2))
     Y_prev = Y.copy()
-    Q, divisor = _embedding_affinities(Y, cfg.kernel)
+    Q, divisor = low_dim_affinities(Y, cfg.kernel)
     trace = []
     for t in range(1, cfg.iterations + 1):
         P_step = P * cfg.exaggeration if t <= cfg.exaggeration_iters else P
-        _, grad = kl_and_gradient(P_step, Q, Y, cfg.kernel, divisor=divisor,
-                                  want_kl=False)
+        grad = kl_and_gradient(P_step, Q, Y, divisor)
         del P_step, Q, divisor  # freed before the next layout's matrices
         step = -cfg.learning_rate * grad + cfg.momentum(t) * (Y - Y_prev)
         Y_prev = Y
         Y = Y + step
-        Q, divisor = _embedding_affinities(Y, cfg.kernel)
+        Q, divisor = low_dim_affinities(Y, cfg.kernel)
         kl = p_log_p - _sum_p_log(P, Q)
         if not math.isfinite(kl):
             raise ValueError(f"t-SNE diverged: the KL divergence is not finite "
@@ -294,15 +270,3 @@ def run(X, cfg: TsneConfig, precomputed: bool = False) -> TsneLayout:
                              f"{cfg.learning_rate}")
         trace.append(kl)
     return TsneLayout(Y, trace[-1], np.asarray(trace))
-
-
-def _check_distances(d2: np.ndarray) -> None:
-    """Reject a precomputed matrix that is not one of squared distances."""
-    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-        raise ValueError("precomputed distances must be square")
-    if np.any(d2 < 0.0):
-        raise ValueError("precomputed distances must be non-negative")
-    if not np.array_equal(d2, d2.T):
-        raise ValueError("precomputed distances must be symmetric")
-    if np.any(np.diagonal(d2) != 0.0):
-        raise ValueError("precomputed distances must have a zero diagonal")

@@ -174,7 +174,7 @@ def _reference_conditional(sq_row, sigma, self_index):
     return p / p.sum()
 
 
-def _reference_entropy_bits(p_row):
+def reference_entropy_bits(p_row):
     nz = p_row[p_row > 0]
     return float(np.log2(2.0 ** (-np.sum(nz * np.log2(nz)))))
 
@@ -188,7 +188,7 @@ def reference_calibrate_sigma(sq_row, perp, self_index, tol=1e-5,
     target = np.log2(perp)
 
     def achieved(sigma):
-        return _reference_entropy_bits(
+        return reference_entropy_bits(
             _reference_conditional(sq_row, sigma, self_index))
 
     sigma = 1.0
@@ -225,7 +225,7 @@ def reference_calibrate_sigma(sq_row, perp, self_index, tol=1e-5,
     return sigma
 
 
-def _reference_q(Y, kernel):
+def reference_q(Y, kernel):
     d2 = _reference_squared_distances(Y)
     num = 1.0 / (1.0 + d2) if kernel == "student_t" else np.exp(-d2)
     np.fill_diagonal(num, 0.0)
@@ -234,20 +234,30 @@ def _reference_q(Y, kernel):
     return Q
 
 
-def _reference_kl(P, Q):
+def reference_kl(P, Q):
     mask = P > 0
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
 
 
-def reference_tsne_run(X, cfg, precomputed=False):
+def reference_gradient(P, Y, kernel):
+    """KL gradient written plainly: the oracle for `tsne.kl_and_gradient`.
+
+    Recomputes Q and the layout's distances from Y and forms the gradient
+    with a dense diagonal matrix."""
+    G = P - reference_q(Y, kernel)
+    if kernel == "student_t":
+        G = G / (1.0 + _reference_squared_distances(Y))
+    return 4.0 * (np.diag(G.sum(axis=1)) @ Y - G @ Y)
+
+
+def reference_tsne_run(X, cfg):
     """Exact t-SNE written plainly: the oracle for `tsne.run`.
 
-    Each iteration recomputes the layout's distances for the gradient,
-    forms it with a dense diagonal matrix, and takes the KL with boolean
-    masks. Returns (Y, kl_trace).
+    Each iteration takes the gradient from `reference_gradient` and the
+    KL with boolean masks. Returns (Y, kl_trace).
     """
     X = np.asarray(X, dtype=float)
-    d2 = X if precomputed else _reference_squared_distances(X)
+    d2 = _reference_squared_distances(X)
     n = d2.shape[0]
     P_cond = np.zeros((n, n))
     for i in range(n):
@@ -259,17 +269,12 @@ def reference_tsne_run(X, cfg, precomputed=False):
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-2, size=(n, 2))
     Y_prev = Y.copy()
-    Q = _reference_q(Y, cfg.kernel)
     trace = []
     for t in range(1, cfg.iterations + 1):
         P_step = P * cfg.exaggeration if t <= cfg.exaggeration_iters else P
-        G = P_step - Q
-        if cfg.kernel == "student_t":
-            G = G / (1.0 + _reference_squared_distances(Y))
-        grad = 4.0 * (np.diag(G.sum(axis=1)) @ Y - G @ Y)
+        grad = reference_gradient(P_step, Y, cfg.kernel)
         step = -cfg.learning_rate * grad + cfg.momentum(t) * (Y - Y_prev)
         Y_prev = Y
         Y = Y + step
-        Q = _reference_q(Y, cfg.kernel)
-        trace.append(_reference_kl(P, Q))
+        trace.append(reference_kl(P, reference_q(Y, cfg.kernel)))
     return Y, np.asarray(trace)

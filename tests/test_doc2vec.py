@@ -300,7 +300,7 @@ def test_doc_and_word_vector_gradients_match_finite_differences():
 def test_pvdbow_gradient_flows_only_to_doc_vector():
     model = manual_model(V=5, dim=2, seed=3)
     model.config.mode = "pvdbow"
-    _, _, _, gdoc, gctx = log_prob_and_grads(model, 1, [], 2, mode="pvdbow")
+    _, _, _, gdoc, gctx = log_prob_and_grads(model, 1, [], 2)
     assert np.all(gctx == 0)
     assert gdoc.shape == (2,)
 

@@ -442,7 +442,6 @@ def test_cli_lets_a_bug_propagate_with_its_traceback(tmp_path, monkeypatch):
                   "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_cli_gaussian_divergence_fails_without_output(tmp_path, capsys):
     inputs, _ = raw_fixture(tmp_path)
     fpath = tmp_path / "f.csv"
