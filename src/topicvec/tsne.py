@@ -10,18 +10,22 @@ is available as an option. Optimization is plain gradient descent on
 the KL divergence with a two-stage momentum schedule and optional early
 exaggeration.
 
-One descent iteration computes the layout's squared distances once and
-shares them between Q and the gradient. It holds at most five n x n
-float64 matrices at once: P, the exaggerated P (during exaggeration
-only), Q, the Student-t divisor 1 + d^2, and one working matrix (the
-gradient weights, or log Q). The KL trace is a constant sum of P log P
-minus one sum of P log Q per iteration.
+Building P holds at most two n x n float64 matrices at once: the
+feature distances and their Gram matrix, then the conditional rows
+(written over the distances) and P. The descent keeps P and three
+buffers of one row block each, about `_BLOCK_ENTRIES` entries: each
+iteration makes two passes over row blocks of the pair matrix,
+recomputing the layout's kernel weights with one matrix product per
+block. The first pass sums the normalizer Z; the second forms the
+block's Q, its share of sum p log q and its rows of the gradient. Early
+exaggeration scales each block of P as it is read. The KL is the
+constant sum p log p, taken once, minus sum p log q.
 
 `run` takes feature rows. Non-finite input raises ValueError before any
 work is done. A descent that diverges raises ValueError at the first
 iteration whose KL is not finite. The plain references these routines
-are checked against, including the masked KL and the row entropy, live
-in the test suite (`tests/oracles.py`).
+are checked against, including the masked KL, the dense Q and gradient,
+and the row entropy, live in the test suite (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _FLOOR = 1e-12
+_BLOCK_ENTRIES = 1 << 17  # pair-matrix entries per descent row block (1 MB)
 _LN2 = np.log(2.0)
 KERNELS = ("student_t", "gaussian")
 
@@ -83,6 +88,7 @@ def squared_distances(X: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exact zeros on the diagonal."""
     X = np.asarray(X, dtype=float)
     sq = np.sum(X * X, axis=1)
+    # numpy reuses the temporaries in place, so two n x n arrays are alive
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
@@ -171,60 +177,125 @@ def symmetrize(p_conditional: np.ndarray) -> np.ndarray:
     return P
 
 
-def low_dim_affinities(Y: np.ndarray, kernel: str):
-    """Joint affinities Q of the embedded points, normalized over all
-    pairs, and the Student-t divisor 1 + d^2 (None under the Gaussian
-    kernel), both from one squared-distance matrix."""
-    d2 = squared_distances(Y)
+def _row_blocks(n: int) -> list:
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return [(s, min(s + rows, n)) for s in range(0, n, rows)]
+
+
+def sum_p_log_p(P: np.ndarray) -> float:
+    """Sum of p_ij log p_ij over i != j, one row block at a time: the part
+    of the KL divergence that does not depend on the layout. Off the
+    diagonal, P must be positive."""
+    n = P.shape[0]
+    total = 0.0
+    for s, e in _row_blocks(n):
+        L = P[s:e].copy()
+        L.ravel()[s::n + 1] = 1.0  # the self pairs (i, i) of rows s:e
+        np.log(L, out=L)
+        total += float(P[s:e].ravel() @ L.ravel())
+    return total
+
+
+def _pair_factors(Y, kernel):
+    """Factors A (n x 4) and B (4 x n) of the layout with A @ B = 1 + d^2
+    under the Student-t kernel and -d^2 under the Gaussian one, so that
+    one matrix product gives a block of either."""
+    sq = np.einsum("ij,ij->i", Y, Y)
+    ones = np.ones_like(sq)
+    B = np.vstack([Y.T, sq, ones])
     if kernel == "student_t":
-        d2 += 1.0
-        divisor = d2
-        Q = 1.0 / divisor
+        A = np.column_stack([-2.0 * Y, ones, sq + 1.0])
     else:
-        divisor = None
-        np.negative(d2, out=d2)
-        Q = np.exp(d2, out=d2)
-    np.fill_diagonal(Q, 0.0)
-    # a diverged layout can underflow every weight; the 0 / 0 NaNs then
-    # make run() stop at a non-finite KL
-    with np.errstate(invalid="ignore"):
-        Q /= Q.sum()
-    np.maximum(Q, _FLOOR, out=Q)
-    np.fill_diagonal(Q, 0.0)
-    return Q, divisor
+        A = np.column_stack([2.0 * Y, -ones, -sq])
+    return A, B
 
 
-def _sum_p_log(P: np.ndarray, M: np.ndarray) -> float:
-    """Sum of p_ij log m_ij over i != j, for square matrices whose
-    off-diagonal entries of M are positive (the diagonal is skipped)."""
-    with np.errstate(divide="ignore"):
-        L = np.log(M)
-    np.fill_diagonal(L, 0.0)
-    return float(P.ravel() @ L.ravel())
+def _kernel_weights(A, B, s, e, kernel, W):
+    """Unnormalized weights between the layout rows s:e and every point,
+    1 / (1 + d^2) or exp(-d^2), with the self pairs at 0, written into
+    the (e - s) x n array W."""
+    np.matmul(A[s:e], B, out=W)
+    if kernel == "student_t":
+        np.maximum(W, 1.0, out=W)
+        np.reciprocal(W, out=W)
+    else:
+        np.minimum(W, 0.0, out=W)
+        np.exp(W, out=W)
+    W.ravel()[s::B.shape[1] + 1] = 0.0
+    return W
 
 
-def kl_and_gradient(P: np.ndarray, Q: np.ndarray, Y: np.ndarray,
-                    divisor: np.ndarray | None) -> np.ndarray:
-    """Gradient of the KL divergence with respect to the coordinates.
+def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
+    """KL divergence of the layout's Q from P and, unless exaggeration is
+    None, the gradient under exaggeration * P.
 
-    The gradient of point i is 4 times the sum over j of
-    (p_ij - q_ij)(y_i - y_j), divided by 1 + d_ij^2 under the Student-t
-    kernel. Q and `divisor` are the pair `low_dim_affinities` returns
-    for Y.
+    The first pass over the row blocks sums the normalizer Z; the second
+    forms each block of Q = max(w / Z, 1e-12) and adds its share of
+    sum p log q and of the gradient. Both work in three block buffers
+    taken once per call, and the first pass ends on the first block,
+    whose weights the second pass reuses. (With fresh arrays for every
+    block and no reuse, an n = 200 call took 2.7 times as long: new
+    arrays cost page faults.)
     """
-    G = P - Q
-    if divisor is not None:
-        G /= divisor
-    return 4.0 * (G.sum(axis=1)[:, None] * Y - G @ Y)
+    n = Y.shape[0]
+    A, B = _pair_factors(Y, kernel)
+    blocks = _row_blocks(n)
+    Wbuf, Qbuf, Gbuf = np.empty((3, blocks[0][1], n))
+    Z = 0.0
+    for s, e in reversed(blocks):
+        W = _kernel_weights(A, B, s, e, kernel, Wbuf[:e - s])
+        Z += float(W.sum())
+    Y1 = np.column_stack([Y, np.ones(n)])  # G @ Y1 holds G @ Y and G's row sums
+    grad = None if exaggeration is None else np.empty_like(Y)
+    p_log_q = 0.0
+    for s, e in blocks:
+        if s:
+            W = _kernel_weights(A, B, s, e, kernel, Wbuf[:e - s])
+        Q, G = Qbuf[:e - s], Gbuf[:e - s]
+        # a diverged layout can underflow every weight; the 0 / 0 NaNs then
+        # make run() stop at a non-finite KL
+        with np.errstate(invalid="ignore"):
+            np.divide(W, Z, out=Q)
+        np.maximum(Q, _FLOOR, out=Q)
+        self_pairs = Q.ravel()[s::n + 1]  # a view
+        self_pairs[:] = 1.0  # log 1 = 0
+        np.log(Q, out=G)
+        Pb = P[s:e]
+        p_log_q += float(Pb.ravel() @ G.ravel())
+        if grad is None:
+            continue
+        self_pairs[:] = 0.0
+        np.multiply(Pb, exaggeration, out=G)
+        G -= Q
+        if kernel == "student_t":
+            G *= W  # (p - q) / (1 + d^2)
+        R = G @ Y1
+        grad[s:e] = 4.0 * (R[:, 2:] * Y[s:e] - R[:, :2])
+    return p_log_p - p_log_q, grad
+
+
+def kl_and_gradient(P: np.ndarray, p_log_p: float, Y: np.ndarray, kernel: str,
+                    exaggeration: float):
+    """KL divergence of the layout Y and its gradient, as (kl, grad).
+
+    The KL is taken against P and p_log_p = sum_p_log_p(P). The gradient
+    is taken under exaggeration * P: the gradient of point i is 4 times
+    the sum over j of (p_ij - q_ij)(y_i - y_j), divided by 1 + d_ij^2
+    under the Student-t kernel. Apart from P, no n x n array is formed.
+    """
+    return _kl_blocks(P, p_log_p, Y, kernel, exaggeration)
 
 
 def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
-    """Calibrate every row, conditionalize, and symmetrize."""
-    n = sq_dists.shape[0]
-    P_cond = np.zeros((n, n))
-    for i in range(n):
-        sigma = calibrate_sigma(sq_dists[i], perplexity, i)
-        P_cond[i] = conditional_affinities(sq_dists[i], sigma, i)
+    """Calibrate every row, conditionalize, and symmetrize.
+
+    Consumes a float64 argument: each row of sq_dists is overwritten with
+    its conditional affinities, once that row's calibration has read it.
+    """
+    P_cond = np.asarray(sq_dists, dtype=float)
+    for i in range(P_cond.shape[0]):
+        sigma = calibrate_sigma(P_cond[i], perplexity, i)
+        P_cond[i] = conditional_affinities(P_cond[i], sigma, i)
     return symmetrize(P_cond)
 
 
@@ -249,24 +320,26 @@ def run(X, cfg: TsneConfig) -> TsneLayout:
 
     P = joint_affinities(d2, cfg.perplexity)
     del X, d2  # the descent needs only P
-    p_log_p = _sum_p_log(P, P)
+    p_log_p = sum_p_log_p(P)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-2, size=(n, 2))
     Y_prev = Y.copy()
-    Q, divisor = low_dim_affinities(Y, cfg.kernel)
     trace = []
-    for t in range(1, cfg.iterations + 1):
-        P_step = P * cfg.exaggeration if t <= cfg.exaggeration_iters else P
-        grad = kl_and_gradient(P_step, Q, Y, divisor)
-        del P_step, Q, divisor  # freed before the next layout's matrices
-        step = -cfg.learning_rate * grad + cfg.momentum(t) * (Y - Y_prev)
-        Y_prev = Y
-        Y = Y + step
-        Q, divisor = low_dim_affinities(Y, cfg.kernel)
-        kl = p_log_p - _sum_p_log(P, Q)
+
+    def record(kl, t):  # the KL after step t
         if not math.isfinite(kl):
             raise ValueError(f"t-SNE diverged: the KL divergence is not finite "
                              f"at iteration {t} with learning_rate "
                              f"{cfg.learning_rate}")
         trace.append(kl)
+
+    for t in range(1, cfg.iterations + 1):
+        exaggeration = cfg.exaggeration if t <= cfg.exaggeration_iters else 1.0
+        kl, grad = kl_and_gradient(P, p_log_p, Y, cfg.kernel, exaggeration)
+        if t > 1:
+            record(kl, t - 1)
+        step = -cfg.learning_rate * grad + cfg.momentum(t) * (Y - Y_prev)
+        Y_prev = Y
+        Y = Y + step
+    record(_kl_blocks(P, p_log_p, Y, cfg.kernel, None)[0], cfg.iterations)
     return TsneLayout(Y, trace[-1], np.asarray(trace))
