@@ -5,8 +5,17 @@ its context word vectors; pvdbow predicts a word sampled from each text
 window from the document vector alone. Training ascends the average log
 probability by per-instance gradient steps with a multiplicative
 learning-rate decay. Training, fold-in (`infer_vector`) and
-`avg_log_prob` share one forward/backward step, and training and fold-in
-take each epoch's instances from one routine.
+`avg_log_prob` share one fused forward/backward step, and training and
+fold-in take each epoch's instances from one routine.
+
+The step makes few numpy calls per instance, because at small
+vocabularies the call overhead outweighs the arithmetic: one gathered
+context sum, the softmax in place on one V-vector, and in pvdm one
+gradient array for the document and its context words. Training adds
+that step to the context rows with one `np.add.at`, which adds a word
+repeated in the window once per occurrence, in order. The results are
+bit for bit those of the plain step and update loop in the test suite
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -118,16 +127,6 @@ def subsample(tokens, threshold: float, frequencies: np.ndarray,
     return tokens[keep]
 
 
-def hidden_h(doc_vec: np.ndarray, context_vecs, mode: str) -> np.ndarray:
-    """pvdm: arithmetic mean of the document vector and all context word
-    vectors; pvdbow: the document vector itself."""
-    if mode == "pvdbow":
-        return doc_vec
-    if len(context_vecs) == 0:
-        return doc_vec
-    return (doc_vec + np.sum(context_vecs, axis=0)) / (1 + len(context_vecs))
-
-
 def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
           target_id: int):
     """Forward/backward pass of one instance against the exact softmax, in
@@ -135,32 +134,46 @@ def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
     the output error (one-hot target minus prediction, which is also the
     bias gradient), and ascent gradients for the document vector and the
     shared context direction (to be split equally among contributing
-    vectors)."""
-    ctx_vecs = model.W[list(context_ids)] if len(context_ids) else ()
-    mode = model.config.mode
-    h = hidden_h(doc_vec, ctx_vecs, mode)
-    logits = model.b + model.U @ h
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
+    vectors).
+
+    h is the document vector in pvdbow and, in pvdm, the mean of the
+    document vector and the context word vectors. The softmax runs in
+    place on one V-vector; dividing by -norm gives -(e / norm) bit for
+    bit. In pvdm both gradients are one array, grad_h / (1 +
+    len(context_ids)).
+    """
+    pvdm = model.config.mode == "pvdm"
+    if pvdm and len(context_ids):
+        h = model.W.take(context_ids, axis=0).sum(axis=0)
+        h += doc_vec
+        h /= 1 + len(context_ids)
+    else:
+        h = doc_vec
+    e = model.U @ h
+    e += model.b
+    e -= e.max()
+    shifted_target = e[target_id]
+    np.exp(e, out=e)
     norm = e.sum()
-    logp = float(shifted[target_id] - np.log(norm))
-    err = -(e / norm)
-    err[target_id] += 1.0
-    grad_h = model.U.T @ err
-    if mode == "pvdbow":
-        return logp, h, err, grad_h, np.zeros_like(grad_h)
-    share = 1.0 / (1 + len(context_ids))
-    return logp, h, err, grad_h * share, grad_h * share
+    logp = float(shifted_target - np.log(norm))
+    e /= -norm
+    e[target_id] += 1.0
+    grad_h = model.U.T @ e
+    if not pvdm:
+        return logp, h, e, grad_h, np.zeros_like(grad_h)
+    grad_h *= 1.0 / (1 + len(context_ids))
+    return logp, h, e, grad_h, grad_h
 
 
 def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
                        context_ids, target_id: int):
     """Log probability of the target word for one instance, plus ascent
     gradients for U, b, the document vector, and the shared context
-    direction (to be split equally among contributing vectors)."""
+    direction (to be split equally among contributing vectors). In pvdm
+    the last two are one array."""
     logp, h, err, grad_doc, grad_ctx = _step(
         model, model.D[doc_index], context_ids, target_id)
-    return logp, np.outer(err, h), err, grad_doc, grad_ctx
+    return logp, np.multiply.outer(err, h), err, grad_doc, grad_ctx
 
 
 def _corpus_model_ids(corpus: Corpus, model: EmbeddingModel) -> list[np.ndarray]:
@@ -233,13 +246,16 @@ def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
     for alpha in epoch_schedule(cfg):
         for m, doc_ids in enumerate(docs):
             for ctx_ids, target in _instances(model, doc_ids, cfg, rng):
-                _, gU, gb, gdoc, gctx = log_prob_and_grads(model, m, ctx_ids,
-                                                           target)
-                model.U += alpha * gU
-                model.b += alpha * gb
-                model.D[m] += alpha * gdoc
-                for c in ctx_ids:
-                    model.W[c] += alpha * gctx
+                _, gU, gb, gdoc, _ = log_prob_and_grads(model, m, ctx_ids,
+                                                        target)
+                gU *= alpha
+                model.U += gU
+                gb *= alpha
+                model.b += gb
+                step = alpha * gdoc  # in pvdm also the context step
+                model.D[m] += step
+                if ctx_ids:  # repeated ids add in order, as a loop would
+                    np.add.at(model.W, ctx_ids, step)
     return model
 
 

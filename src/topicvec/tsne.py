@@ -10,16 +10,18 @@ is available as an option. Optimization is plain gradient descent on
 the KL divergence with a two-stage momentum schedule and optional early
 exaggeration.
 
-Building P holds at most two n x n float64 matrices at once: the
-feature distances and their Gram matrix, then the conditional rows
-(written over the distances) and P. The descent keeps P and three
-buffers of one row block each, about `_BLOCK_ENTRIES` entries: each
-iteration makes two passes over row blocks of the pair matrix,
-recomputing the layout's kernel weights with one matrix product per
-block. The first pass sums the normalizer Z; the second forms the
-block's Q, its share of sum p log q and its rows of the gradient. Early
-exaggeration scales each block of P as it is read. The KL is the
-constant sum p log p, taken once, minus sum p log q.
+Building P holds one n x n float64 matrix and a block of rows at a
+time: the Gram matrix of the features turns into their squared
+distances in place, each row of distances is overwritten by its
+conditional affinities, and those are symmetrized in place into P. The
+descent keeps P and three buffers of one row block each, about
+`_BLOCK_ENTRIES` entries: each iteration makes two passes over row
+blocks of the pair matrix, recomputing the layout's kernel weights
+with one matrix product per block. The first pass sums the normalizer
+Z; the second forms the block's Q, its share of sum p log q and its
+rows of the gradient. Early exaggeration scales each block of P as it
+is read. The KL is the constant sum p log p, taken once, minus sum p
+log q.
 
 `run` takes feature rows. Non-finite input raises ValueError before any
 work is done. A descent that diverges raises ValueError at the first
@@ -88,8 +90,12 @@ def squared_distances(X: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exact zeros on the diagonal."""
     X = np.asarray(X, dtype=float)
     sq = np.sum(X * X, axis=1)
-    # numpy reuses the temporaries in place, so two n x n arrays are alive
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    # one n x n array: the Gram matrix, turned into the distances in place,
+    # bit for bit (sq_i + sq_j) - 2 g_ij
+    d2 = X @ X.T
+    d2 *= -2.0
+    for s, e in _row_blocks(len(sq)):
+        d2[s:e] += sq[s:e, None] + sq[None, :]
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -167,12 +173,19 @@ def calibrate_sigma(sq_row, perp: float, self_index: int,
 
 
 def symmetrize(p_conditional: np.ndarray) -> np.ndarray:
-    """Joint affinities (P + P^T) / 2n, floored at 1e-12 off the diagonal."""
+    """Joint affinities (P + P^T) / 2n, floored at 1e-12 off the diagonal.
+
+    Consumes a float64 argument: the joint affinities are written over it,
+    one row block of the upper triangle and its transpose at a time.
+    """
     P = np.asarray(p_conditional, dtype=float)
     n = P.shape[0]
-    P = P + P.T
-    P /= 2.0 * n
-    np.maximum(P, _FLOOR, out=P)
+    for s, e in _row_blocks(n):
+        S = P[s:e, s:] + P[s:, s:e].T
+        S /= 2.0 * n
+        np.maximum(S, _FLOOR, out=S)
+        P[s:e, s:] = S
+        P[s:, s:e] = S.T
     np.fill_diagonal(P, 0.0)
     return P
 

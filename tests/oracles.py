@@ -2,13 +2,17 @@
 
 Everything here recomputes results from first principles (exact joint
 densities, exhaustive sorts, central finite differences) and deliberately
-shares no code with the implementations under test.
+shares no code with the implementations under test. The doc2vec references
+keep the plain per-instance step and update loop; `reference_train` takes
+its model initialization and instances from `topicvec.doc2vec`, so that it
+checks the step and the updates alone.
 """
 
 import math
 
 import numpy as np
 
+from topicvec import doc2vec
 from topicvec.autoencoder import loss
 from topicvec.lda import LdaState
 
@@ -107,6 +111,58 @@ def predict_distribution(h, model):
     return e / e.sum()
 
 
+# ------------------------------------------------------------ doc2vec step
+
+def hidden_h(doc_vec, context_vecs, mode):
+    """pvdm: arithmetic mean of the document vector and all context word
+    vectors; pvdbow: the document vector itself."""
+    if mode == "pvdbow":
+        return doc_vec
+    if len(context_vecs) == 0:
+        return doc_vec
+    return (doc_vec + np.sum(context_vecs, axis=0)) / (1 + len(context_vecs))
+
+
+def reference_step(model, doc_vec, context_ids, target_id):
+    """One doc2vec instance against the exact softmax, written plainly: the
+    oracle for `doc2vec.log_prob_and_grads`, with the document vector
+    passed in. Returns (log p, gU, gb, grad_doc, grad_ctx)."""
+    ctx_vecs = model.W[list(context_ids)] if len(context_ids) else ()
+    mode = model.config.mode
+    h = hidden_h(doc_vec, ctx_vecs, mode)
+    logits = model.b + model.U @ h
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    norm = e.sum()
+    logp = float(shifted[target_id] - np.log(norm))
+    err = -(e / norm)
+    err[target_id] += 1.0
+    grad_h = model.U.T @ err
+    if mode == "pvdbow":
+        return logp, np.outer(err, h), err, grad_h, np.zeros_like(grad_h)
+    share = 1.0 / (1 + len(context_ids))
+    return logp, np.outer(err, h), err, grad_h * share, grad_h * share
+
+
+def reference_train(corpus, cfg):
+    """doc2vec training with `reference_step` and one update per parameter
+    and per context word: the oracle for `doc2vec.train`."""
+    rng = np.random.default_rng(cfg.seed)
+    model = doc2vec._init_with_rng(corpus, cfg, rng)
+    docs = doc2vec._corpus_model_ids(corpus, model)
+    for alpha in doc2vec.epoch_schedule(cfg):
+        for m, doc_ids in enumerate(docs):
+            for ctx_ids, target in doc2vec._instances(model, doc_ids, cfg, rng):
+                _, gU, gb, gdoc, gctx = reference_step(model, model.D[m],
+                                                       ctx_ids, target)
+                model.U += alpha * gU
+                model.b += alpha * gb
+                model.D[m] += alpha * gdoc
+                for c in ctx_ids:
+                    model.W[c] += alpha * gctx
+    return model
+
+
 # ----------------------------------------------------- finite differences
 
 def finite_difference_net_grads(net, x, target, eps=1e-4):
@@ -158,7 +214,7 @@ def knn_sort_oracle(matrix, q, metric):
 
 # ------------------------------------------------------------ exact t-SNE
 
-def _reference_squared_distances(X):
+def reference_squared_distances(X):
     sq = np.sum(X * X, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -226,7 +282,7 @@ def reference_calibrate_sigma(sq_row, perp, self_index, tol=1e-5,
 
 
 def reference_q(Y, kernel):
-    d2 = _reference_squared_distances(Y)
+    d2 = reference_squared_distances(Y)
     num = 1.0 / (1.0 + d2) if kernel == "student_t" else np.exp(-d2)
     np.fill_diagonal(num, 0.0)
     Q = np.maximum(num / num.sum(), 1e-12)
@@ -246,7 +302,7 @@ def reference_gradient(P, Y, kernel):
     with a dense diagonal matrix."""
     G = P - reference_q(Y, kernel)
     if kernel == "student_t":
-        G = G / (1.0 + _reference_squared_distances(Y))
+        G = G / (1.0 + reference_squared_distances(Y))
     return 4.0 * (np.diag(G.sum(axis=1)) @ Y - G @ Y)
 
 
@@ -257,7 +313,7 @@ def reference_tsne_run(X, cfg):
     KL with boolean masks. Returns (Y, kl_trace).
     """
     X = np.asarray(X, dtype=float)
-    d2 = _reference_squared_distances(X)
+    d2 = reference_squared_distances(X)
     n = d2.shape[0]
     P_cond = np.zeros((n, n))
     for i in range(n):

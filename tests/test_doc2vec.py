@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import predict_distribution
+from oracles import hidden_h, predict_distribution, reference_step, reference_train
 from topicvec.corpus import build_corpus, cosine_similarity
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
-                              build_windows, epoch_schedule, hidden_h, infer_vector,
+                              build_windows, epoch_schedule, infer_vector,
                               init_model, log_prob_and_grads, subsample, train)
 
 SENTENCE = "el gato negro es bellissimo".split()
@@ -221,6 +220,41 @@ def test_training_deterministic():
     assert np.array_equal(m1.b, m2.b)
 
 
+@pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])
+def test_log_prob_and_grads_match_reference_step_bitwise(mode):
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        V, dim = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        model = manual_model(V=V, dim=dim, seed=trial)
+        model.config.mode = mode
+        m = int(rng.integers(3))
+        # pvdm contexts of every length from 0, with repeated ids
+        ctx = rng.integers(V, size=int(rng.integers(7))).tolist() \
+            if mode == "pvdm" else []
+        target = int(rng.integers(V))
+        got = log_prob_and_grads(model, m, ctx, target)
+        want = reference_step(model, model.D[m], ctx, target)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("subsample_threshold", [1.0, 0.1])
+@pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])
+def test_training_matches_reference_loop_bitwise(mode, subsample_threshold):
+    # word ids repeat inside one window (the fused update adds them with
+    # np.add.at), and one document has a single token (an empty context)
+    docs = [["red", "red", "blue", "red", "green", "blue", "blue", "red"],
+            ["cat"],
+            ["dog", "cat", "dog", "dog", "bird", "cat", "fish", "dog"],
+            ["green", "teal", "green", "green", "red"]]
+    corp = build_corpus(docs, [f"d{i}" for i in range(len(docs))])
+    cfg = toy_config(max_epochs=6, mode=mode, subsample=subsample_threshold)
+    got, want = train(corp, cfg), reference_train(corp, cfg)
+    for name in ("D", "W", "U", "b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 # --------------------------------------------------------------- gradients
 
 def test_analytic_gradients_match_finite_differences():
@@ -318,23 +352,22 @@ def test_inference_freezes_shared_parameters():
 
 
 def reference_infer_vector(model, doc_tokens, cfg):
-    """Fold-in written as training restricted to one document: a copy of the
-    model whose only D row is the fresh vector, stepped by the grad_doc of
-    log_prob_and_grads on the same subsampled windows."""
+    """Fold-in written as training restricted to one document: a fresh
+    vector stepped by the grad_doc of `reference_step` on the same
+    subsampled windows."""
     ids = np.asarray([model.term_to_id[t] for t in doc_tokens
                       if t in model.term_to_id], dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)
     span = 0.5 / model.config.dim
-    fresh = rng.uniform(-span, span, size=(1, model.config.dim))
-    ref = dataclasses.replace(model, D=fresh)
+    v = rng.uniform(-span, span, size=model.config.dim)
     for alpha in epoch_schedule(cfg):
         toks = subsample(ids, cfg.subsample, model.term_freq, rng)
         if len(toks) == 0:
             continue
         for ctx_pos, center in build_windows(toks, cfg.window, model.config.mode, rng):
             ctx = [int(toks[i]) for i in ctx_pos]
-            ref.D[0] += alpha * log_prob_and_grads(ref, 0, ctx, int(toks[center]))[3]
-    return ref.D[0]
+            v += alpha * reference_step(model, v, ctx, int(toks[center]))[3]
+    return v
 
 
 @pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])

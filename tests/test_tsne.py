@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import (reference_calibrate_sigma, reference_entropy_bits,
                      reference_gradient, reference_kl, reference_q,
-                     reference_tsne_run)
+                     reference_squared_distances, reference_tsne_run)
 
 from topicvec import tsne
 from topicvec.tsne import (TsneConfig, calibrate_sigma, conditional_affinities,
@@ -161,6 +161,19 @@ def test_symmetrize_three_point_hand_example():
     assert P[0, 2] == pytest.approx((0.3 + 0.5) / 6.0, abs=1e-15)
     assert P[1, 2] == pytest.approx((0.8 + 0.5) / 6.0, abs=1e-15)
     assert P.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 22, 300])
+def test_blocked_p_building_matches_whole_matrix_formulas(monkeypatch, n):
+    # 3-row blocks: n = 5 ends in a ragged block, n = 22 in a one-row block
+    monkeypatch.setattr(tsne, "_BLOCK_ENTRIES", 3 * n)
+    rng = np.random.default_rng(n)
+    X = rng.normal(scale=10.0, size=(n, 6))
+    assert np.array_equal(squared_distances(X), reference_squared_distances(X))
+    cond = rng.random((n, n))
+    want = np.maximum((cond + cond.T) / (2.0 * n), 1e-12)
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(symmetrize(cond), want)
 
 
 def kl_and_grad(P, Y, kernel):
@@ -356,9 +369,9 @@ def test_gaussian_divergence_stops_at_first_non_finite_kl(rate, diverges_at):
         run(X, cfg)
 
 
-def test_run_peak_memory_stays_below_two_and_a_half_matrices(monkeypatch):
-    # building P holds two n x n matrices; the descent, from the call to
-    # sum_p_log_p on, holds P and row blocks
+def test_run_peak_memory_stays_below_one_and_a_half_matrices(monkeypatch):
+    # building P holds one n x n matrix and row blocks; so does the descent,
+    # from the call to sum_p_log_p on
     n = 1200
     matrix = n * n * 8
     X = np.random.default_rng(16).normal(size=(n, 10))
@@ -378,7 +391,7 @@ def test_run_peak_memory_stays_below_two_and_a_half_matrices(monkeypatch):
     finally:
         tracemalloc.stop()
     building, descent = peaks
-    assert building < 2.5 * matrix
+    assert building < 1.5 * matrix
     assert descent < 1.5 * matrix
 
 
