@@ -5,18 +5,23 @@ the sampler resamples one token at a time and updates them in place.
 Row-stochastic read-outs (phi for topics over terms, theta for documents
 over topics) are computed from counts plus the Dirichlet priors.
 Training and fold-in of an unseen document (`infer_theta`, with phi
-frozen) run one chain routine for burn-in, thinning and readout, and draw
-each topic the same way. Their per-token loops (`gibbs_sweep` and the
-sweep inside `infer_theta`) stay separate, because a shared per-token
-kernel would add a call or a list to every token of the hottest loop;
-tests/test_lda.py pins each to a token-by-token reference.
+frozen) run one chain routine for burn-in, thinning and readout, but draw
+topics differently. The training sweep (`gibbs_sweep`) splits each
+token's conditional into SparseLDA's s, r and q buckets and maps its
+uniform to a topic in bucket order, so its cost follows the number of
+topics a term and a document actually use rather than K. The fold-in
+sweep inside `infer_theta` keeps the plain cumulative sum over all topics
+in topic order; the same split could serve it later. tests/test_lda.py
+pins each sweep to a token-by-token reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -147,12 +152,11 @@ def init_state(corpus: Corpus, cfg: LdaConfig, rng: np.random.Generator) -> LdaS
     M = corpus.num_docs
     docs = [doc.tokens for doc in corpus.docs]
     z = [rng.integers(K, size=len(toks)) for toks in docs]
+    all_z = np.concatenate(z)
     n_kt = np.zeros((K, V), dtype=np.int64)
     n_mk = np.zeros((M, K), dtype=np.int64)
-    for m, (toks, zs) in enumerate(zip(docs, z)):
-        for t, k in zip(toks, zs):
-            n_kt[k, t] += 1
-            n_mk[m, k] += 1
+    np.add.at(n_kt, (all_z, np.concatenate(docs)), 1)
+    np.add.at(n_mk, (np.repeat(np.arange(M), [len(t) for t in docs]), all_z), 1)
     return LdaState(docs, z, n_kt, n_mk, n_kt.sum(axis=1), n_mk.sum(axis=1))
 
 
@@ -180,14 +184,29 @@ def gibbs_sweep(state: LdaState, cfg: LdaConfig, rng: np.random.Generator) -> Ld
     """One pass over every token in document order: decrement, resample
     from the full conditional, increment.
 
-    The conditional is evaluated inline on Python lists, unnormalised: its
-    running sum is searched at u times the total, with one uniform u per
-    token (drawn per document in a single `rng.random(len(doc))` call, which
-    yields the same stream as one call per token). The counts are copied out
-    once per sweep and written back into the state's own arrays, and the
-    new assignments into `state.z[m]`. tests/test_lda.py checks that a sweep
-    draws exactly the topics of a token-by-token reference sweep built on
-    `full_conditional`.
+    The unnormalised conditional of term t in document m is split into the
+    three buckets of SparseLDA (Yao, Mimno & McCallum, KDD 2009). With the
+    token removed from the counts, n_k' = n_k + sum(beta) and the document
+    coefficient c_k = (n_mk + alpha_k) / n_k':
+
+        s_k = beta_t * alpha_k / n_k'
+        r_k = beta_t * n_mk / n_k'      (non-zero on the document's topics)
+        q_k = n_tk * c_k                (non-zero on the term's topics)
+
+    Since s_k + r_k = beta_t * c_k, one running sum of c (re-summed when the
+    sweep enters a document) gives the total mass with q, which is summed
+    over the term's non-zero topics at every token; r and s are summed
+    fresh only when the draw falls past q. One uniform u per token (drawn
+    per document in a single `rng.random(len(doc))` call, the stream of one
+    call per token) is mapped to a topic by walking the q bucket, then r,
+    then s, each in ascending topic order, so a draw depends only on the
+    counts and u; rounding that carries u past the end of s takes the last
+    topic. The per-term and per-document topic lists are built once per
+    sweep and per document and kept sorted as counts move between 0 and 1.
+    The counts are copied out once per sweep and written back into the
+    state's own arrays, and the new assignments into `state.z[m]`.
+    tests/test_lda.py checks that a sweep draws exactly the topics of a
+    token-by-token reference built on the three buckets.
     """
     alpha = cfg.alpha_vec().tolist()
     beta_vec = cfg.beta_vec(state.n_kt.shape[1])
@@ -197,29 +216,74 @@ def gibbs_sweep(state: LdaState, cfg: LdaConfig, rng: np.random.Generator) -> Ld
     last = len(alpha) - 1
     n_tk = state.n_kt.T.tolist()  # one count list per term
     n_k = state.n_k.tolist()
+    inv = [1.0 / (n + beta_sum) for n in n_k]  # 1 / n_k'
+    # each term's topics with a non-zero count, ascending
+    term_of, topic_of = np.nonzero(state.n_kt.T)
+    flat = topic_of.tolist()
+    ends = np.cumsum(np.bincount(term_of, minlength=len(n_tk))).tolist()
+    t_topics = [flat[a:b] for a, b in zip([0] + ends, ends)]
     for m, (toks, zs) in enumerate(zip(state.docs, state.z)):
         n_mk = state.n_mk[m].tolist()
+        d_topics = [k for k in topics if n_mk[k]]
+        coef = [(n + a) * i for n, a, i in zip(n_mk, alpha, inv)]
+        c_sum = sum(coef)
         z_m = zs.tolist()
         uniforms = rng.random(len(toks)).tolist()
-        for n, t in enumerate(toks.tolist()):
-            k = z_m[n]
+        for n, (t, k, u) in enumerate(zip(toks.tolist(), z_m, uniforms)):
             n_t = n_tk[t]
-            n_t[k] -= 1
-            n_mk[k] -= 1
-            n_k[k] -= 1
+            ts = t_topics[t]
+            # the token's own topic k without it; the shared lists change
+            # only if the token moves
+            nk = n_mk[k] - 1
+            i = 1.0 / (n_k[k] - 1 + beta_sum)
+            c = (nk + alpha[k]) * i
+            cs = c_sum + c - coef[k]
+            q = [n_t[j] * coef[j] for j in ts]
+            pos = bisect_left(ts, k)
+            q[pos] = (n_t[k] - 1) * c
+            cum = list(accumulate(q))
             b = beta[t]
-            total = 0.0
-            cum = []
-            for j in topics:
-                total += (n_t[j] + b) / (n_k[j] + beta_sum) * (n_mk[j] + alpha[j])
-                cum.append(total)
-            # alpha, beta > 0 make every segment positive; only rounding of
-            # u * total can reach past the last one
-            k = min(bisect_right(cum, uniforms[n] * total), last)
-            z_m[n] = k
+            x = u * (cum[-1] + b * cs)
+            # q, then r, then s: a zero mass is a zero-width segment, which
+            # bisect_right never picks below the bucket's total
+            if x < cum[-1]:
+                new = ts[bisect_right(cum, x)]
+            else:
+                x = (x - cum[-1]) / b
+                w = [n_mk[j] * inv[j] for j in d_topics]
+                w[bisect_left(d_topics, k)] = nk * i
+                cum = list(accumulate(w))
+                if x < cum[-1]:
+                    new = d_topics[bisect_right(cum, x)]
+                else:
+                    w = list(map(mul, alpha, inv))
+                    w[k] = alpha[k] * i
+                    new = min(bisect_right(list(accumulate(w)), x - cum[-1]), last)
+            if new == k:
+                continue
+
+            n_t[k] -= 1
+            n_mk[k] = nk
+            n_k[k] -= 1
+            inv[k] = i
+            coef[k] = c
+            if not n_t[k]:
+                del ts[pos]
+            if not nk:
+                d_topics.remove(k)
+            k = z_m[n] = new
+            if not n_t[k]:
+                insort(ts, k)
             n_t[k] += 1
-            n_mk[k] += 1
+            nk = n_mk[k] + 1
+            n_mk[k] = nk
+            if nk == 1:
+                insort(d_topics, k)
             n_k[k] += 1
+            i = inv[k] = 1.0 / (n_k[k] + beta_sum)
+            c = (nk + alpha[k]) * i
+            c_sum = cs + c - coef[k]
+            coef[k] = c
         zs[:] = z_m
         state.n_mk[m] = n_mk
     state.n_kt[...] = np.array(n_tk, dtype=np.int64).T
@@ -298,8 +362,10 @@ def infer_theta(model: LdaModel, doc: BagOfWords, cfg: LdaConfig) -> np.ndarray:
     """Topic mixture for an unseen document, with the topic/term rows frozen.
 
     Only the new document's assignments are resampled, by the chain and
-    readout of `train` and the draw of `gibbs_sweep`, with the columns of
-    phi standing in for the topic/term factor of the conditional.
+    readout of `train`, with the columns of phi standing in for the
+    topic/term factor of the conditional. Each uniform is searched in the
+    conditional's running sum over all topics in topic order, not in
+    `gibbs_sweep`'s bucket order.
     """
     alpha_vec = cfg.alpha_vec()
     K, V = model.phi.shape

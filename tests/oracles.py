@@ -90,6 +90,44 @@ def exclude_token(state, m, n):
     state.n_k[k] -= 1
 
 
+def bucket_masses(state, m, n, alpha, beta):
+    """The SparseLDA split of token n of document m, recomputed from the
+    current counts (which must already exclude the token): the K-vectors
+    s, r and q with s + r + q = (n_tk + beta_t) (n_mk + alpha_k) / n_k',
+    where n_k' = n_k + sum(beta)."""
+    t = int(state.docs[m][n])
+    inv = 1.0 / (state.n_k + beta.sum())
+    s = beta[t] * alpha * inv
+    r = beta[t] * state.n_mk[m] * inv
+    q = state.n_kt[:, t] * (state.n_mk[m] + alpha) * inv
+    return s, r, q
+
+
+def reference_sparse_sweep(state, cfg, rng):
+    """Token-by-token sweep in SparseLDA's draw order: exclude the token,
+    lay out its q, r and s masses in that order, each over the topics in
+    ascending order, draw by inverse CDF with one `rng.random()`, and add
+    the token back. Zero masses are zero-width segments; a uniform that
+    rounding carries past the last segment takes the last positive one."""
+    alpha = cfg.alpha_vec()
+    beta = cfg.beta_vec(state.n_kt.shape[1])
+    K = len(alpha)
+    for m, (toks, zs) in enumerate(zip(state.docs, state.z)):
+        for n in range(len(toks)):
+            exclude_token(state, m, n)
+            s, r, q = bucket_masses(state, m, n, alpha, beta)
+            masses = np.concatenate([q, r, s])
+            cum = np.cumsum(masses / masses.sum())
+            i = int(np.searchsorted(cum, rng.random(), side="right"))
+            if i == len(cum):
+                i = int(np.flatnonzero(masses)[-1])
+            k = i % K
+            zs[n] = k
+            state.n_kt[k, int(toks[n])] += 1
+            state.n_mk[m, k] += 1
+            state.n_k[k] += 1
+
+
 # ------------------------------------------------------ direct formulas
 
 def tf_idf(term, doc, corpus):

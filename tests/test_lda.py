@@ -1,11 +1,12 @@
+import copy
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import (exclude_token, oracle_conditional, random_micro_instance,
-                     state_from)
+from oracles import (bucket_masses, exclude_token, oracle_conditional,
+                     random_micro_instance, reference_sparse_sweep, state_from)
 from topicvec.corpus import BagOfWords, build_corpus
 from topicvec.lda import (GeneratorConfig, LdaConfig, LdaModel, LdaState, _categorical,
                           estimate_phi_theta, format_topics, full_conditional,
@@ -166,21 +167,166 @@ def reference_infer_theta(model, doc, cfg):
     return (n_k + alpha) / (len(tokens) + alpha.sum())
 
 
-def test_sweep_draws_match_full_conditional_reference():
-    rng = np.random.default_rng(2718)
-    for seed in range(200):
+def micro_cases(seed, count):
+    """Random micro instances with vector alpha and beta, as configs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         docs, z, K, V, alpha, beta = random_micro_instance(rng)
         cfg = LdaConfig(num_topics=K, alpha=list(alpha), beta=list(beta),
                         sweeps=2, burn_in=0)
+        yield docs, z, K, V, cfg
+
+
+def test_bucket_masses_sum_to_unnormalised_full_conditional():
+    for docs, z, K, V, cfg in micro_cases(577, 200):
+        alpha, beta = cfg.alpha_vec(), cfg.beta_vec(V)
+        for m in range(len(docs)):
+            for n in range(len(docs[m])):
+                state = state_from(docs, z, K, V)
+                exclude_token(state, m, n)
+                s, r, q = bucket_masses(state, m, n, alpha, beta)
+                t = int(docs[m][n])
+                full = ((state.n_kt[:, t] + beta[t]) / (state.n_k + beta.sum())
+                        * (state.n_mk[m] + alpha))
+                assert np.all(np.abs(s + r + q - full) <= 1e-12 * full)
+                assert np.allclose(full / full.sum(), full_conditional(state, m, n, cfg),
+                                   rtol=1e-12, atol=0)
+
+
+def test_sweep_draws_match_full_conditional_reference():
+    """gibbs_sweep draws exactly the topics of the token-by-token sweep over
+    the q, r and s masses in bucket order, whose sum is the full
+    conditional (test above)."""
+    cases = [(docs, z, K, V, cfg, seed)
+             for seed, (docs, z, K, V, cfg) in enumerate(micro_cases(2718, 200))]
+    # K = 50: long sorted topic lists, counts moving between 0 and 1, and
+    # draws in all three buckets
+    rng = np.random.default_rng(99)
+    for seed in range(3):
+        K, V = 50, 60
+        docs = [rng.integers(V, size=int(rng.integers(1, 80))) for _ in range(15)]
+        z = [rng.integers(K, size=len(d)) for d in docs]
+        cfg = LdaConfig(num_topics=K, beta=list(rng.uniform(0.01, 0.2, V)),
+                        sweeps=2, burn_in=0)
+        cases.append((docs, z, K, V, cfg, seed))
+    for docs, z, K, V, cfg, seed in cases:
         fast = state_from(docs, z, K, V)
         ref = state_from(docs, z, K, V)
-        gibbs_sweep(fast, cfg, np.random.default_rng(seed))
-        reference_sweep(ref, cfg, np.random.default_rng(seed))
+        for rep in range(2):
+            gibbs_sweep(fast, cfg, np.random.default_rng([seed, rep]))
+            reference_sparse_sweep(ref, cfg, np.random.default_rng([seed, rep]))
         for a, b in zip(fast.z, ref.z):
             assert np.array_equal(a, b)
         assert np.array_equal(fast.n_kt, ref.n_kt)
         assert np.array_equal(fast.n_mk, ref.n_mk)
         assert np.array_equal(fast.n_k, ref.n_k)
+
+
+def test_sweep_frequencies_match_full_conditional():
+    """One token resampled 20,000 times against fixed counts from tokens
+    outside the sweep, at K = 12 with all three buckets carrying mass: its
+    draws are independent draws from the full conditional."""
+    rng = np.random.default_rng(31)
+    K, V, t, k0 = 12, 6, 2, 5
+    n_kt = rng.integers(0, 4, size=(K, V)) * (rng.random((K, V)) < 0.5)
+    n_mk = rng.integers(0, 3, size=(1, K)) * (rng.random((1, K)) < 0.5)
+    n_kt[k0, t] += 1
+    n_mk[0, k0] += 1
+    state = LdaState([np.array([t])], [np.array([k0])], n_kt, n_mk,
+                     n_kt.sum(axis=1), n_mk.sum(axis=1))
+    cfg = LdaConfig(num_topics=K, alpha=list(rng.uniform(0.2, 1.0, K)),
+                    beta=list(rng.uniform(0.3, 1.0, V)), sweeps=2, burn_in=0)
+    probe = copy.deepcopy(state)
+    exclude_token(probe, 0, 0)
+    p = full_conditional(probe, 0, 0, cfg)
+    shares = [b.sum() for b in bucket_masses(probe, 0, 0, cfg.alpha_vec(),
+                                              cfg.beta_vec(V))]
+    assert min(shares) > 0.1 * sum(shares)  # every bucket matters
+    outside_kt, outside_mk = probe.n_kt.copy(), probe.n_mk.copy()
+
+    draws = 20_000
+    freq = np.zeros(K)
+    for _ in range(draws):
+        gibbs_sweep(state, cfg, rng)
+        freq[state.z[0][0]] += 1
+    exclude_token(state, 0, 0)
+    assert np.array_equal(state.n_kt, outside_kt)
+    assert np.array_equal(state.n_mk, outside_mk)
+    assert np.array_equal(state.n_k, outside_kt.sum(axis=1))
+    chi2 = float(np.sum((freq - draws * p) ** 2 / (draws * p)))
+    assert chi2 < 37.37  # chi-square with 11 degrees of freedom, p = 1e-4
+
+
+def test_sweep_law_matches_topic_order_reference():
+    """Bucket order changes which uniform maps to which topic, not the
+    law: from one start state at K = 10, the topic of the last token after
+    one sweep has the same distribution under gibbs_sweep and under the
+    topic-order reference sweep (two-sample chi-square, 4,000 sweeps each)."""
+    K, V = 10, 5
+    docs = [np.array([0, 1, 1, 3]), np.array([2, 1, 0])]
+    z = [np.array([4, 7, 7, 1]), np.array([9, 7, 4])]
+    cfg = LdaConfig(num_topics=K, alpha=0.2, beta=[0.3, 0.1, 0.5, 0.2, 0.4],
+                    sweeps=2, burn_in=0)
+    runs = 4_000
+    fast, ref = np.zeros(K), np.zeros(K)
+    for seed in range(runs):
+        state = state_from(docs, z, K, V)
+        gibbs_sweep(state, cfg, np.random.default_rng([1, seed]))
+        fast[state.z[-1][-1]] += 1
+        state = state_from(docs, z, K, V)
+        reference_sweep(state, cfg, np.random.default_rng([2, seed]))
+        ref[state.z[-1][-1]] += 1
+    seen = (fast + ref) > 0
+    chi2 = float(np.sum((fast - ref)[seen] ** 2 / (fast + ref)[seen]))
+    assert chi2 < 33.72  # chi-square with 9 degrees of freedom, p = 1e-4
+
+
+class ConstantUniforms:
+    """An rng stand-in whose `random(n)` returns n copies of one value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+def test_extreme_uniforms_take_first_and_last_positive_mass(u):
+    """u = 0 takes the first topic of positive mass in bucket order (q, r,
+    s); u just below 1 takes the last one, topic K - 1 of the s bucket, also
+    when rounding carries u * total past the summed masses."""
+    for docs, z, K, V, cfg in micro_cases(4242, 200):
+        alpha, beta = cfg.alpha_vec(), cfg.beta_vec(V)
+        fast = state_from(docs, z, K, V)
+        gibbs_sweep(fast, cfg, ConstantUniforms(u))
+        ref = state_from(docs, z, K, V)
+        for m, toks in enumerate(ref.docs):
+            for n in range(len(toks)):
+                exclude_token(ref, m, n)
+                s, r, q = bucket_masses(ref, m, n, alpha, beta)
+                positive = np.flatnonzero(np.concatenate([q, r, s]))
+                k = int(positive[0 if u == 0.0 else -1]) % K
+                ref.z[m][n] = k
+                ref.n_kt[k, int(toks[n])] += 1
+                ref.n_mk[m, k] += 1
+                ref.n_k[k] += 1
+                assert fast.z[m][n] == k
+                if u > 0.5:
+                    assert k == K - 1
+        assert_counts_consistent(fast)
+
+
+def test_single_topic_sweep_always_draws_topic_zero():
+    for docs, z, K, V, cfg in micro_cases(8080, 50):
+        cfg = LdaConfig(num_topics=1, beta=cfg.beta, sweeps=2, burn_in=0)
+        state = state_from(docs, [np.zeros(len(d), dtype=np.int64) for d in docs], 1, V)
+        for seed in range(3):
+            gibbs_sweep(state, cfg, np.random.default_rng(seed))
+        for u in (0.0, np.nextafter(1.0, 0.0)):
+            gibbs_sweep(state, cfg, ConstantUniforms(u))
+        assert all(np.all(zs == 0) for zs in state.z)
+        assert_counts_consistent(state)
 
 
 def test_sweep_trajectory_bit_identical_across_runs():
