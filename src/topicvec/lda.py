@@ -5,14 +5,15 @@ the sampler resamples one token at a time and updates them in place.
 Row-stochastic read-outs (phi for topics over terms, theta for documents
 over topics) are computed from counts plus the Dirichlet priors.
 Training and fold-in of an unseen document (`infer_theta`, with phi
-frozen) run one chain routine for burn-in, thinning and readout, but draw
-topics differently. The training sweep (`gibbs_sweep`) splits each
-token's conditional into SparseLDA's s, r and q buckets and maps its
-uniform to a topic in bucket order, so its cost follows the number of
-topics a term and a document actually use rather than K. The fold-in
-sweep inside `infer_theta` keeps the plain cumulative sum over all topics
-in topic order; the same split could serve it later. tests/test_lda.py
-pins each sweep to a token-by-token reference.
+frozen) run one chain routine for burn-in, thinning and readout, and both
+draw from a split of the token's conditional, so their cost follows the
+number of topics a term and a document actually use rather than K. The
+training sweep (`gibbs_sweep`) maps each uniform to a topic through
+SparseLDA's q, r and s buckets, in that order. The fold-in sweep inside
+`infer_theta` walks a sparse bucket over the document's topics, then a
+dense bucket whose running sums are built once per fold-in. Each bucket is
+laid out in ascending topic order. tests/test_lda.py pins each sweep to a
+token-by-token reference in its bucket order.
 """
 
 from __future__ import annotations
@@ -363,9 +364,22 @@ def infer_theta(model: LdaModel, doc: BagOfWords, cfg: LdaConfig) -> np.ndarray:
 
     Only the new document's assignments are resampled, by the chain and
     readout of `train`, with the columns of phi standing in for the
-    topic/term factor of the conditional. Each uniform is searched in the
-    conditional's running sum over all topics in topic order, not in
-    `gibbs_sweep`'s bucket order.
+    topic/term factor of the conditional. With the token removed from the
+    document's counts n_k, its unnormalised conditional phi_tk (n_k + alpha_k)
+    splits into two buckets:
+
+        sparse_k = phi_tk * n_k     (non-zero on the document's topics)
+        dense_k  = phi_tk * alpha_k (fixed for the whole fold-in)
+
+    The running sums of the dense bucket are built once per call for every
+    term of the document; the sparse bucket is summed over the document's
+    sorted topic list at every token, with the token's own topic left in it
+    as a zero-width segment. Each uniform walks the sparse bucket, then
+    bisects the term's dense sums, both in ascending topic order; rounding
+    that carries it past the end takes topic K - 1. tests/test_lda.py checks
+    that the draws are exactly those of a token-by-token reference built on
+    the two buckets. Counts must be positive integers; the empty document
+    returns the prior mean.
     """
     alpha_vec = cfg.alpha_vec()
     K, V = model.phi.shape
@@ -373,6 +387,10 @@ def infer_theta(model: LdaModel, doc: BagOfWords, cfg: LdaConfig) -> np.ndarray:
     for t in terms:
         if not 0 <= t < V:
             raise IndexError(f"term id {t} outside model vocabulary")
+        count = doc.counts[t]
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(
+                f"count {count!r} of term id {t} is not a positive integer")
     tokens = [t for t in terms for _ in range(doc.counts[t])]
     if not tokens:
         return alpha_vec / alpha_vec.sum()
@@ -380,27 +398,37 @@ def infer_theta(model: LdaModel, doc: BagOfWords, cfg: LdaConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(K, size=len(tokens)).tolist()
     n_k = np.bincount(z, minlength=K).tolist()
+    d_topics = [k for k in range(K) if n_k[k]]  # ascending, kept sorted
     # only this document's columns: converting all of phi costs more than
     # a short fold-in
-    weights = dict(zip(terms, model.phi[:, terms].T.tolist()))
-    alpha = alpha_vec.tolist()
-    topics = range(K)
+    cols = model.phi[:, terms].T
+    weights = dict(zip(terms, cols.tolist()))
+    dense = dict(zip(terms, np.cumsum(cols * alpha_vec, axis=1).tolist()))
     last = K - 1
 
     def sweep():
         uniforms = rng.random(len(tokens)).tolist()
-        for n, t in enumerate(tokens):
+        for n, (t, u) in enumerate(zip(tokens, uniforms)):
             k = z[n]
             n_k[k] -= 1
             w = weights[t]
-            total = 0.0
-            cum = []
-            for j in topics:
-                total += w[j] * (n_k[j] + alpha[j])
-                cum.append(total)
-            k = min(bisect_right(cum, uniforms[n] * total), last)
-            z[n] = k
-            n_k[k] += 1
+            cum = list(accumulate([w[j] * n_k[j] for j in d_topics]))
+            sparse = cum[-1]
+            d = dense[t]
+            x = u * (sparse + d[-1])
+            # a zero mass is a zero-width segment, which bisect_right never
+            # picks below the bucket's total
+            if x < sparse:
+                new = d_topics[bisect_right(cum, x)]
+            else:
+                new = min(bisect_right(d, x - sparse), last)
+            if new != k:
+                if not n_k[k]:
+                    d_topics.remove(k)
+                if not n_k[new]:
+                    insort(d_topics, new)
+                z[n] = new
+            n_k[new] += 1
 
     def estimate():
         return ((np.array(n_k) + alpha_vec) / (len(tokens) + alpha_vec.sum()),)

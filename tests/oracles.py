@@ -128,6 +128,39 @@ def reference_sparse_sweep(state, cfg, rng):
             state.n_k[k] += 1
 
 
+def reference_sparse_infer_theta(model, doc, cfg):
+    """Token-by-token fold-in with phi frozen, in the two-bucket draw order:
+    exclude the token from the document's counts n_k, lay out the sparse
+    masses phi[:, t] * n_k and then the dense masses phi[:, t] * alpha, each
+    over the topics in ascending order, draw by inverse CDF with one
+    uniform, and add the token back; then the readout rule of train, written
+    out. Zero masses are zero-width segments; a uniform that rounding
+    carries past the last segment takes topic K - 1."""
+    alpha = cfg.alpha_vec()
+    K = model.phi.shape[0]
+    tokens = [t for t in sorted(doc.counts) for _ in range(doc.counts[t])]
+    if not tokens:
+        return alpha / alpha.sum()
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.integers(K, size=len(tokens))
+    n_k = np.bincount(z, minlength=K).astype(np.int64)
+    kept = []
+    for sweep in range(1, cfg.sweeps + 1):
+        for i, (t, u) in enumerate(zip(tokens, rng.random(len(tokens)))):
+            n_k[z[i]] -= 1
+            col = model.phi[:, t]
+            cum = np.cumsum(np.concatenate([col * n_k, col * alpha]))
+            j = min(int(np.searchsorted(cum, u * cum[-1], side="right")), 2 * K - 1)
+            z[i] = j % K
+            n_k[z[i]] += 1
+        if (cfg.readout == "thinned_average" and sweep > cfg.burn_in
+                and (sweep - cfg.burn_in) % cfg.sample_lag == 0):
+            kept.append((n_k + alpha) / (len(tokens) + alpha.sum()))
+    if kept:
+        return sum(kept) / len(kept)
+    return (n_k + alpha) / (len(tokens) + alpha.sum())
+
+
 # ------------------------------------------------------ direct formulas
 
 def tf_idf(term, doc, corpus):

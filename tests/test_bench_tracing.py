@@ -1,11 +1,12 @@
 """The benchmark's tracing contract, checked on a tiny pipeline run.
 
 `tvbench/spans.py` wraps public functions of the topicvec modules by name
-and counts work units at fixed call sites: one `doc2vec.log_prob_and_grads`
-call per training instance made directly by `doc2vec.train`, and the
-windows that `doc2vec.infer_vector` gets from `build_windows` with no traced
-function in between. A renamed function or an inlined call breaks those
-counts; this test runs the count identities of `tvbench/run.py --trace 1`.
+and counts work units at fixed call sites: sweeps x tokens per
+`lda.infer_theta` call, one `doc2vec.log_prob_and_grads` call per training
+instance made directly by `doc2vec.train`, and the windows that
+`doc2vec.infer_vector` gets from `build_windows` with no traced function in
+between. A renamed function or an inlined call breaks those counts; this
+test runs the count identities of `tvbench/run.py --trace 1`.
 """
 
 import os
@@ -72,6 +73,10 @@ def test_traced_counts_match_the_work_done(tmp_path):
         docs = [line.split() for line in
                 (out / "corpus_filtered.txt").read_text().splitlines()]
         doc2vec.infer_vector(model, docs[0] + ["unseen"], model.config)
+        lda_model = pipeline.load_model(out / "lda_model.npz", kind="lda")
+        term_ids = {t: i for i, t in enumerate(lda_model.terms)}
+        bag = corpus.BagOfWords(dict(Counter(term_ids[t] for t in docs[0])))
+        lda.infer_theta(lda_model, bag, lda_model.config)
     finally:
         tracer.uninstall()
 
@@ -79,6 +84,7 @@ def test_traced_counts_match_the_work_done(tmp_path):
     tokens = sum(len(d) for d in docs)
     cfg = pipeline.load_config(tmp_path / "run.ini")
     assert counts["lda.token_updates"] == cfg.lda.sweeps * tokens
+    assert counts["lda.infer_token_updates"] == cfg.lda.sweeps * len(docs[0])
 
     epochs = 3  # max_epochs; 0.025 * 0.99**2 stays above the 1e-3 floor
     term_counts = Counter(t for d in docs for t in d)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from collections import Counter
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (bucket_masses, exclude_token, oracle_conditional,
-                     random_micro_instance, reference_sparse_sweep, state_from)
+                     random_micro_instance, reference_sparse_infer_theta,
+                     reference_sparse_sweep, state_from)
 from topicvec.corpus import BagOfWords, build_corpus
 from topicvec.lda import (GeneratorConfig, LdaConfig, LdaModel, LdaState, _categorical,
                           estimate_phi_theta, format_topics, full_conditional,
@@ -465,8 +467,14 @@ def random_bag(rng, V, max_tokens):
     return BagOfWords({int(t): int(c) for t, c in zip(terms, counts)})
 
 
+def phi_model(phi, cfg):
+    return LdaModel(phi, None, cfg, [f"w{t}" for t in range(phi.shape[1])], None)
+
+
 @pytest.mark.parametrize("readout", ["final_sample", "thinned_average"])
 def test_infer_draws_match_token_by_token_reference(readout):
+    """infer_theta draws exactly the topics of the token-by-token fold-in
+    over the sparse masses, then the dense masses."""
     rng = np.random.default_rng(1618)
     cases = []
     for _ in range(100):
@@ -485,9 +493,125 @@ def test_infer_draws_match_token_by_token_reference(readout):
                         readout=readout, seed=seed)
         cases.append((phi, cfg, random_bag(rng, 400, 150)))
     for phi, cfg, bag in cases:
-        model = LdaModel(phi, None, cfg, [f"w{t}" for t in range(phi.shape[1])], None)
+        model = phi_model(phi, cfg)
         assert np.array_equal(infer_theta(model, bag, cfg),
-                              reference_infer_theta(model, bag, cfg))
+                              reference_sparse_infer_theta(model, bag, cfg))
+
+
+def test_infer_law_matches_topic_order_reference():
+    """The two-bucket order changes which uniform maps to which topic, not
+    the law: the final counts of a 4-token document at K = 4 (35 possible
+    outcomes) have the same distribution under infer_theta and under the
+    topic-order reference fold-in (two-sample chi-square, 10,000 seeds
+    each)."""
+    phi = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3], [0.6, 0.1, 0.3]])
+    bag = BagOfWords({0: 2, 1: 1, 2: 1})
+    cfg = LdaConfig(num_topics=4, alpha=[0.3, 0.5, 0.2, 0.9], sweeps=2, burn_in=0)
+    model = phi_model(phi, cfg)
+    runs = 10_000
+    fast, ref = Counter(), Counter()
+    for seed in range(runs):
+        fast[tuple(infer_theta(model, bag, dataclasses.replace(cfg, seed=seed)))] += 1
+        ref[tuple(reference_infer_theta(
+            model, bag, dataclasses.replace(cfg, seed=runs + seed)))] += 1
+    outcomes = fast.keys() | ref.keys()
+    assert len(outcomes) <= 35
+    chi2 = sum((fast[o] - ref[o]) ** 2 / (fast[o] + ref[o]) for o in outcomes)
+    assert chi2 < 73.48  # chi-square with 34 degrees of freedom, p = 1e-4
+
+
+class FoldInUniforms(ConstantUniforms):
+    """An rng stand-in for a fold-in: fixed start topics, then one constant
+    uniform for every draw."""
+
+    def __init__(self, u, start):
+        super().__init__(u)
+        self.start = np.asarray(start)
+
+    def integers(self, K, size):
+        assert size == len(self.start)
+        return self.start.copy()
+
+
+def fold_in_with(monkeypatch, u, start, model, bag, cfg):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FoldInUniforms(u, start))
+    return infer_theta(model, bag, cfg), reference_sparse_infer_theta(model, bag, cfg)
+
+
+def counts_of(theta, cfg, tokens):
+    alpha = cfg.alpha_vec()
+    return np.rint(theta * (tokens + alpha.sum()) - alpha).astype(int)
+
+
+def test_infer_uniform_zero_takes_first_positive_sparse_mass(monkeypatch):
+    """u = 0 takes the first topic of positive mass in the sparse bucket:
+    topic 1 holds two of the three tokens at the start but has no mass for
+    term 0, and topic 0 has mass only in the dense bucket."""
+    phi = np.array([[0.5, 0.5], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]])
+    cfg = LdaConfig(num_topics=4, alpha=0.5, sweeps=2, burn_in=0)
+    bag = BagOfWords({0: 3})
+    fast, ref = fold_in_with(monkeypatch, 0.0, [1, 1, 3], phi_model(phi, cfg), bag, cfg)
+    assert np.array_equal(counts_of(fast, cfg, 3), [0, 0, 0, 3])
+    assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+def test_infer_extreme_uniforms_match_reference(monkeypatch, u):
+    """Under a constant uniform, u = 0 or u just below 1, the fold-in takes
+    the reference's topic at every token; u just below 1 takes topic K - 1,
+    also when rounding carries u * total past the summed masses."""
+    rng = np.random.default_rng(5150)
+    for _ in range(100):
+        docs, z, K, V, alpha, beta = random_micro_instance(rng)
+        cfg = LdaConfig(num_topics=K, alpha=list(alpha), beta=list(beta),
+                        sweeps=3, burn_in=1)
+        phi, _ = estimate_phi_theta(state_from(docs, z, K, V), cfg)
+        bag = random_bag(rng, V, 10)
+        tokens = sum(bag.counts.values())
+        start = rng.integers(K, size=tokens)
+        fast, ref = fold_in_with(monkeypatch, u, start, phi_model(phi, cfg), bag, cfg)
+        assert np.array_equal(fast, ref)
+        if u > 0.5:
+            assert counts_of(fast, cfg, tokens)[-1] == tokens
+
+
+def test_infer_one_token_document_draws_from_dense_bucket(monkeypatch):
+    """A one-token document has an empty sparse bucket once the token is
+    excluded, so every draw inverts phi[:, t] * alpha, whatever the start
+    topic."""
+    rng = np.random.default_rng(77)
+    K, t = 6, 2
+    phi = rng.dirichlet(np.ones(5), size=K)
+    cfg = LdaConfig(num_topics=K, alpha=list(rng.uniform(0.1, 1.0, K)),
+                    sweeps=3, burn_in=0)
+    dense = phi[:, t] * cfg.alpha_vec()
+    cum = np.cumsum(dense / dense.sum())
+    for u in np.linspace(0.01, 0.99, 25):
+        expected = int(np.searchsorted(cum, u, side="right"))
+        for start in range(K):
+            fast, _ = fold_in_with(monkeypatch, u, [start], phi_model(phi, cfg),
+                                   BagOfWords({t: 1}), cfg)
+            assert np.array_equal(counts_of(fast, cfg, 1),
+                                  np.eye(K, dtype=int)[expected])
+
+
+def test_infer_single_topic_returns_one():
+    rng = np.random.default_rng(3)
+    for seed in range(20):
+        phi = rng.dirichlet(np.ones(7), size=1)
+        cfg = LdaConfig(num_topics=1, alpha=float(rng.uniform(0.05, 2.0)),
+                        sweeps=3, burn_in=1, seed=seed)
+        theta = infer_theta(phi_model(phi, cfg), random_bag(rng, 7, 12), cfg)
+        assert np.array_equal(theta, [1.0])
+
+
+@pytest.mark.parametrize("counts, bad", [({0: 0, 1: -2}, 0), ({0: 2.0}, 0),
+                                         ({3: 1, 4: -1}, 4)])
+def test_infer_rejects_counts_that_are_not_positive_integers(counts, bad):
+    phi = np.full((2, 5), 0.2)
+    cfg = LdaConfig(num_topics=2, sweeps=2, burn_in=0)
+    with pytest.raises(ValueError, match=f"term id {bad}\\b"):
+        infer_theta(phi_model(phi, cfg), BagOfWords(counts), cfg)
 
 
 def test_infer_recovers_planted_topic():
