@@ -1,4 +1,13 @@
-"""Brute-force K-nearest-neighbor search over document feature matrices."""
+"""Brute-force K-nearest-neighbor search over document feature matrices.
+
+A query computes its distance to every row, then selects the nearest rows
+without sorting them all: `np.partition` finds the bound, the m-th
+smallest distance (m = k + 1 for a row query, k for a vector query), and
+only the rows at or under that bound are sorted. Those rows, ties at the
+bound included, are exactly the first rows of the full distance order, so
+the result is that order's prefix. A query costs one O(n d) distance pass
+and O(n) selection, plus a sort of about k rows.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +32,14 @@ def knn(matrix, query, k: int = 20, metric: str = "cosine") -> NeighborList:
     so the list has k+1 entries) or a feature vector (k entries). Cosine
     distance is 1 minus the cosine similarity; ties are broken by lower
     row index. Distances within 1e-12 of zero are snapped to exactly 0.
+    A non-finite matrix row or query vector raises ValueError.
+
+    The rows are not all sorted. With m the number of rows the query can
+    list (k + 1 or k, at most n), every row whose distance is at most the
+    m-th smallest one is a candidate; the candidates, taken in index order
+    and sorted stably by distance, are the first rows of the full stable
+    distance order, ties at the bound included. So the entries are those
+    of a full sort, and the query costs O(n) after the distance pass.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -43,26 +60,48 @@ def knn(matrix, query, k: int = 20, metric: str = "cosine") -> NeighborList:
         if q.shape != (X.shape[1],):
             raise ValueError("query vector length must match the matrix")
 
-    if metric == "cosine":
-        norms = np.linalg.norm(X, axis=1)
-        qn = np.linalg.norm(q)
-        if qn == 0.0 or np.any(norms == 0.0):
-            raise ValueError("cosine distance is undefined for zero vectors")
-        # row-wise products, not X @ q: a BLAS matrix-vector product can round
-        # identical rows differently and so break the lower-index tie rule
-        dists = 1.0 - (X * q).sum(axis=1) / (norms * qn)
-    else:
-        dists = np.linalg.norm(X - q, axis=1)
-    dists = np.where(np.abs(dists) <= _ZERO_SNAP, 0.0, dists)
+    # a non-finite row or query gives a non-finite distance; inf - inf and
+    # inf / inf on the way there are caught by the check after this block
+    with np.errstate(invalid="ignore"):
+        if metric == "cosine":
+            norms = np.linalg.norm(X, axis=1)
+            qn = np.linalg.norm(q)
+            if qn == 0.0 or np.any(norms == 0.0):
+                raise ValueError("cosine distance is undefined for zero vectors")
+            # row-wise products, not X @ q: a BLAS matrix-vector product can
+            # round identical rows differently and so break the lower-index
+            # tie rule
+            dists = 1.0 - (X * q).sum(axis=1) / (norms * qn)
+        else:
+            dists = np.linalg.norm(X - q, axis=1)
+    if not np.isfinite(dists).all():
+        raise _non_finite(X, q, qi)
+    dists[np.abs(dists) <= _ZERO_SNAP] = 0.0
 
-    order = np.argsort(dists, kind="stable")  # stable: ties go to lower index
+    m = min(len(dists), k if qi is None else k + 1)
+    if m == 0:  # a vector query on a matrix with no rows
+        return NeighborList(q, [])
+    bound = np.partition(dists, m - 1)[m - 1]
+    cand = np.flatnonzero(dists <= bound)  # index order: ties to lower index
+    picked = cand[np.argsort(dists[cand], kind="stable")]
     if qi is not None:
-        rest = [i for i in order if i != qi][:k]
-        picked = [qi] + rest
+        picked = np.concatenate(([qi], picked[picked != qi][:k]))
     else:
-        picked = list(order[:k])
+        picked = picked[:k]
     return NeighborList(qi if qi is not None else q,
-                        [(int(i), float(dists[i])) for i in picked])
+                        list(zip(picked.tolist(), dists[picked].tolist())))
+
+
+def _non_finite(X, q, qi) -> ValueError:
+    """The error for a query with a non-finite distance: the query vector,
+    else the first matrix row that holds a non-finite value. This scans
+    the matrix, but only once a distance has failed the check."""
+    if qi is None and not np.isfinite(q).all():
+        return ValueError("query vector is not finite")
+    rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(rows):
+        return ValueError(f"matrix row {rows[0]} is not finite")
+    return ValueError("a distance overflows to a non-finite value")
 
 
 def format_listing(neighbors: NeighborList, titles: list[str]) -> str:

@@ -15,6 +15,7 @@ import numpy as np
 from topicvec import doc2vec
 from topicvec.autoencoder import loss
 from topicvec.lda import LdaState
+from topicvec.neighbors import NeighborList
 
 
 # ------------------------------------------------- collapsed joint density
@@ -281,6 +282,32 @@ def knn_sort_oracle(matrix, q, metric):
     """Full distance sort: row indices by distance, ties to the lower index."""
     d = knn_oracle_distances(matrix, q, metric)
     return sorted(range(len(d)), key=lambda i: (d[i], i))
+
+
+def reference_knn(matrix, query, k, metric):
+    """The full-sort search: the oracle for `neighbors.knn`, bit for bit.
+
+    It computes the distances with the same arithmetic as `knn`, sorts all
+    n of them stably (ties to the lower index) and scans that order in
+    Python to drop the query row, which a row query puts at rank 0."""
+    X = np.asarray(matrix, dtype=float)
+    if isinstance(query, (int, np.integer)):
+        qi, q = int(query), X[int(query)]
+    else:
+        qi, q = None, np.asarray(query, dtype=float)
+    if metric == "cosine":
+        norms = np.linalg.norm(X, axis=1)
+        dists = 1.0 - (X * q).sum(axis=1) / (norms * np.linalg.norm(q))
+    else:
+        dists = np.linalg.norm(X - q, axis=1)
+    dists = np.where(np.abs(dists) <= 1e-12, 0.0, dists)
+    order = np.argsort(dists, kind="stable")
+    if qi is not None:
+        picked = [qi] + [i for i in order if i != qi][:k]
+    else:
+        picked = list(order[:k])
+    return NeighborList(qi if qi is not None else q,
+                        [(int(i), float(dists[i])) for i in picked])
 
 
 # ------------------------------------------------------------ exact t-SNE

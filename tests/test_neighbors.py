@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import knn_oracle_distances
+from oracles import knn_oracle_distances, reference_knn
 from oracles import knn_sort_oracle as sort_oracle
 from topicvec.neighbors import NeighborList, format_listing, knn
 
@@ -123,6 +123,110 @@ def test_bad_arguments_rejected():
 def test_deterministic():
     X = np.random.default_rng(5).uniform(0.1, 1.0, size=(15, 4))
     assert knn(X, 2, k=5) == knn(X, 2, k=5)
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Small integer matrices built from a few distinct rows, so rows repeat
+    and distances tie; cosine cases take no zero entry, so no zero row."""
+    metric = draw(st.sampled_from(["cosine", "euclidean"]))
+    values = (st.sampled_from([-2.0, -1.0, 1.0, 2.0, 3.0]) if metric == "cosine"
+              else st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
+    d = draw(st.integers(1, 4))
+    base = draw(arrays(float, (draw(st.integers(1, 6)), d), elements=values))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=14))
+    X = base[picks]
+    n = len(X)
+    if draw(st.booleans()):
+        query = draw(st.integers(0, n - 1))
+    else:
+        query = draw(arrays(float, d, elements=values))
+    return X, query, draw(st.integers(1, n + 2)), metric
+
+
+@given(tie_heavy_cases())
+def test_matches_full_sort_reference_bit_for_bit(case):
+    X, query, k, metric = case
+    assert knn(X, query, k, metric).entries == reference_knn(X, query, k, metric).entries
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_paper_scale_matches_full_sort_reference(metric):
+    # 25,203 rows as in the movie corpus, integer-valued so distances tie,
+    # with a block of duplicated rows
+    rng = np.random.default_rng(25203)
+    X = rng.integers(1, 5, size=(25203, 50)).astype(float)
+    X[1000:1100] = X[:100]
+    queries = [0, 1050, 25202] + [rng.integers(0, 5, size=50).astype(float) + 0.5,
+                                  X[60].copy(), rng.uniform(0.5, 4.5, size=50)]
+    for query in queries:
+        got = knn(X, query, 20, metric).entries
+        assert got == reference_knn(X, query, 20, metric).entries
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_single_row_matrix(metric):
+    X = np.array([[1.0, 2.0]])
+    assert knn(X, 0, k=3, metric=metric).entries == [(0, 0.0)]
+    assert [i for i, _ in knn(X, np.array([2.0, 1.0]), k=3, metric=metric).entries] == [0]
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_vector_query_on_empty_matrix_lists_nothing(metric):
+    assert knn(np.empty((0, 3)), np.ones(3), k=2, metric=metric).entries == []
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_k_at_least_n_lists_every_row(metric):
+    X = np.random.default_rng(8).uniform(0.1, 1.0, size=(6, 3))
+    for k in (5, 6, 9):  # a row query lists the query and k others
+        rows = [i for i, _ in knn(X, 2, k=k, metric=metric).entries]
+        assert rows[0] == 2 and sorted(rows) == list(range(6))
+    for k in (6, 9):
+        rows = [i for i, _ in knn(X, np.ones(3), k=k, metric=metric).entries]
+        assert sorted(rows) == list(range(6))
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_query_row_stays_first_before_its_lower_duplicate(metric):
+    X = np.array([[1.0, 2.0], [3.0, 1.0], [1.0, 2.0], [2.0, 2.0]])
+    res = knn(X, 2, k=2, metric=metric)
+    assert res.entries[:2] == [(2, 0.0), (0, 0.0)]
+
+
+def test_boundary_ties_go_to_lower_indices():
+    # five rows at distance 1 from the query; k = 3 keeps the three lowest
+    X = np.array([[0.0, 3.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                  [0.0, 0.5], [0.0, -1.0], [1.0, 0.0]])
+    res = knn(X, np.zeros(2), k=3, metric="euclidean")
+    assert res.entries == [(4, 0.5), (1, 1.0), (2, 1.0)]
+    # rows 1, 3 and 6 tie at the bound; two of them fit
+    res = knn(X, 4, k=3, metric="euclidean")
+    assert [i for i, _ in res.entries] == [4, 2, 1, 3]
+    assert [i for i, _ in knn(X, np.zeros(2), k=5, metric="euclidean").entries] \
+        == [4, 1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_is_named(metric, bad):
+    X = np.random.default_rng(9).uniform(0.1, 1.0, size=(6, 3))
+    X[3, 1] = bad
+    X[5, 0] = -bad
+    with pytest.raises(ValueError, match="row 3 is not finite"):
+        knn(X, 0, k=5, metric=metric)
+    with pytest.raises(ValueError, match="row 3 is not finite"):
+        knn(X, 3, k=2, metric=metric)
+    with pytest.raises(ValueError, match="row 3 is not finite"):
+        knn(X, np.ones(3), k=2, metric=metric)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_vector_rejected(metric, bad):
+    X = np.random.default_rng(10).uniform(0.1, 1.0, size=(6, 3))
+    with pytest.raises(ValueError, match="query vector is not finite"):
+        knn(X, np.array([1.0, bad, 0.0]), k=3, metric=metric)
 
 
 def test_listing_formats():
