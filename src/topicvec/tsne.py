@@ -15,13 +15,18 @@ time: the Gram matrix of the features turns into their squared
 distances in place, each row of distances is overwritten by its
 conditional affinities, and those are symmetrized in place into P. The
 descent keeps P and three buffers of one row block each, about
-`_BLOCK_ENTRIES` entries: each iteration makes two passes over row
-blocks of the pair matrix, recomputing the layout's kernel weights
+`_BLOCK_ENTRIES` entries. P and the kernel weights are symmetric, so
+each iteration forms every unordered pair once: it makes two passes
+over row blocks of the upper triangle of the pair matrix, block [s, e)
+covering the columns s:n, and recomputes the layout's kernel weights
 with one matrix product per block. The first pass sums the normalizer
 Z; the second forms the block's Q, its share of sum p log q and its
-rows of the gradient. Early exaggeration scales each block of P as it
-is read. The KL is the constant sum p log p, taken once, minus sum p
-log q.
+share of the gradient, for its rows and, through the transpose of the
+part right of its square, for the points it pairs them with. A pair
+right of the square stands for both of its orders, so it counts twice
+in Z and in sum p log q. Early exaggeration scales each block of P as
+it is read. The KL is the constant sum p log p, taken once, minus sum
+p log q.
 
 `run` takes feature rows. Non-finite input raises ValueError before any
 work is done. A descent that diverges raises ValueError at the first
@@ -223,18 +228,31 @@ def _pair_factors(Y, kernel):
     return A, B
 
 
+def _triangle_blocks(n: int) -> list:
+    """Row blocks [s, e) of the upper triangle of the pair matrix. Block
+    [s, e) covers the columns s:n, and holds (e - s)(n - s) entries, at
+    most `_BLOCK_ENTRIES` unless it is a single row; rows get wider blocks
+    as s grows."""
+    blocks, s = [], 0
+    while s < n:
+        e = min(n, s + max(1, _BLOCK_ENTRIES // (n - s)))
+        blocks.append((s, e))
+        s = e
+    return blocks
+
+
 def _kernel_weights(A, B, s, e, kernel, W):
-    """Unnormalized weights between the layout rows s:e and every point,
-    1 / (1 + d^2) or exp(-d^2), with the self pairs at 0, written into
-    the (e - s) x n array W."""
-    np.matmul(A[s:e], B, out=W)
+    """Unnormalized weights between the layout rows s:e and the points
+    s:n, 1 / (1 + d^2) or exp(-d^2), with the self pairs at 0, written
+    into the (e - s) x (n - s) array W."""
+    np.matmul(A[s:e], B[:, s:], out=W)
     if kernel == "student_t":
         np.maximum(W, 1.0, out=W)
         np.reciprocal(W, out=W)
     else:
         np.minimum(W, 0.0, out=W)
         np.exp(W, out=W)
-    W.ravel()[s::B.shape[1] + 1] = 0.0
+    W.ravel()[::W.shape[1] + 1] = 0.0
     return W
 
 
@@ -242,48 +260,62 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
     """KL divergence of the layout's Q from P and, unless exaggeration is
     None, the gradient under exaggeration * P.
 
-    The first pass over the row blocks sums the normalizer Z; the second
-    forms each block of Q = max(w / Z, 1e-12) and adds its share of
-    sum p log q and of the gradient. Both work in three block buffers
-    taken once per call, and the first pass ends on the first block,
-    whose weights the second pass reuses. (With fresh arrays for every
-    block and no reuse, an n = 200 call took 2.7 times as long: new
-    arrays cost page faults.)
+    Each unordered pair is formed once, in the row blocks of
+    `_triangle_blocks`: block [s, e) holds the square part of its rows on
+    the diagonal, with both orders of its pairs, and the part to its
+    right, which stands for its mirror image too. The first pass sums
+    the normalizer Z, counting the right parts twice; the second forms
+    each block of Q = max(w / Z, 1e-12), adds its share of sum p log q,
+    again counting the right part twice, and accumulates the gradient:
+    the rows s:e take the block's product with the layout, and the
+    points e:n the transposed product of its right part. Both passes
+    work in three block buffers taken once per call, and the first pass
+    ends on the first block, whose weights the second pass reuses. (With
+    fresh arrays for every block and no reuse, an n = 200 call took 2.7
+    times as long: new arrays cost page faults.) A single block is the
+    whole matrix, with whole-matrix arithmetic.
     """
     n = Y.shape[0]
     A, B = _pair_factors(Y, kernel)
-    blocks = _row_blocks(n)
-    Wbuf, Qbuf, Gbuf = np.empty((3, blocks[0][1], n))
+    blocks = _triangle_blocks(n)
+    bufs = np.empty((3, max((e - s) * (n - s) for s, e in blocks)))
+
+    def views(s, e):  # the three buffers as (e - s) x (n - s) arrays
+        return bufs[:, :(e - s) * (n - s)].reshape(3, e - s, n - s)
+
     Z = 0.0
     for s, e in reversed(blocks):
-        W = _kernel_weights(A, B, s, e, kernel, Wbuf[:e - s])
-        Z += float(W.sum())
+        W = _kernel_weights(A, B, s, e, kernel, views(s, e)[0])
+        Z += float(W.sum()) + float(W[:, e - s:].sum())
     Y1 = np.column_stack([Y, np.ones(n)])  # G @ Y1 holds G @ Y and G's row sums
-    grad = None if exaggeration is None else np.empty_like(Y)
+    R = None if exaggeration is None else np.zeros((n, 3))
     p_log_q = 0.0
     for s, e in blocks:
+        W, Q, G = views(s, e)
+        m = e - s  # the square part is [:, :m], the right part [:, m:]
         if s:
-            W = _kernel_weights(A, B, s, e, kernel, Wbuf[:e - s])
-        Q, G = Qbuf[:e - s], Gbuf[:e - s]
+            _kernel_weights(A, B, s, e, kernel, W)
         # a diverged layout can underflow every weight; the 0 / 0 NaNs then
         # make run() stop at a non-finite KL
         with np.errstate(invalid="ignore"):
             np.divide(W, Z, out=Q)
         np.maximum(Q, _FLOOR, out=Q)
-        self_pairs = Q.ravel()[s::n + 1]  # a view
+        self_pairs = Q.ravel()[::n - s + 1]  # a view
+        Pb = P[s:e, s:]
+        if R is not None:
+            self_pairs[:] = 0.0
+            np.multiply(Pb, exaggeration, out=G)
+            G -= Q
+            if kernel == "student_t":
+                G *= W  # (p - q) / (1 + d^2)
+            R[s:e] += G @ Y1[s:]
+            R[e:] += G[:, m:].T @ Y1[s:e]
         self_pairs[:] = 1.0  # log 1 = 0
-        np.log(Q, out=G)
-        Pb = P[s:e]
-        p_log_q += float(Pb.ravel() @ G.ravel())
-        if grad is None:
-            continue
-        self_pairs[:] = 0.0
-        np.multiply(Pb, exaggeration, out=G)
-        G -= Q
-        if kernel == "student_t":
-            G *= W  # (p - q) / (1 + d^2)
-        R = G @ Y1
-        grad[s:e] = 4.0 * (R[:, 2:] * Y[s:e] - R[:, :2])
+        np.log(Q, out=Q)
+        np.copyto(G[:, :m], Pb[:, :m])
+        np.multiply(Pb[:, m:], 2.0, out=G[:, m:])
+        p_log_q += float(G.ravel() @ Q.ravel())
+    grad = None if R is None else 4.0 * (R[:, 2:] * Y - R[:, :2])
     return p_log_p - p_log_q, grad
 
 
@@ -295,6 +327,9 @@ def kl_and_gradient(P: np.ndarray, p_log_p: float, Y: np.ndarray, kernel: str,
     is taken under exaggeration * P: the gradient of point i is 4 times
     the sum over j of (p_ij - q_ij)(y_i - y_j), divided by 1 + d_ij^2
     under the Student-t kernel. Apart from P, no n x n array is formed.
+
+    P must be exactly symmetric, as `symmetrize` makes it: only its upper
+    triangle, P[i, j] with j >= i, is read.
     """
     return _kl_blocks(P, p_log_p, Y, kernel, exaggeration)
 
