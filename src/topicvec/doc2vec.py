@@ -21,6 +21,7 @@ bit for bit those of the plain step and update loop in the test suite
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class Doc2VecConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("subsample", "alpha0", "alpha_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.window < 1:
@@ -210,12 +214,6 @@ def _init_with_rng(corpus: Corpus, cfg: Doc2VecConfig,
     labels = [doc.label for doc in corpus.docs]
     return EmbeddingModel(W, D, U, b, dataclasses.replace(cfg),
                           terms, term_to_id, term_freq, labels)
-
-
-def init_model(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
-    """Model at initialization: small random word/document vectors, zero
-    softmax parameters (so every prediction starts uniform)."""
-    return _init_with_rng(corpus, cfg, np.random.default_rng(cfg.seed))
 
 
 def _instances(model: EmbeddingModel, ids: np.ndarray, cfg: Doc2VecConfig,

@@ -62,6 +62,9 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("perplexity", "learning_rate", "exaggeration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.perplexity <= 0:
             raise ValueError("perplexity must be positive")
         if self.iterations < 1:

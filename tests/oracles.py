@@ -216,6 +216,13 @@ def reference_step(model, doc_vec, context_ids, target_id):
     return logp, np.outer(err, h), err, grad_h * share, grad_h * share
 
 
+def init_model(corpus, cfg):
+    """A doc2vec model as `doc2vec.train` starts it under cfg.seed: small
+    random word and document vectors and zero softmax parameters, so every
+    prediction starts uniform."""
+    return doc2vec._init_with_rng(corpus, cfg, np.random.default_rng(cfg.seed))
+
+
 def reference_train(corpus, cfg):
     """doc2vec training with `reference_step` and one update per parameter
     and per context word: the oracle for `doc2vec.train`."""

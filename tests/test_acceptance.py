@@ -14,17 +14,17 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from oracles import (exclude_token, finite_difference_net_grads, knn_sort_oracle,
-                     max_rel_err, oracle_conditional, random_micro_instance,
-                     reference_entropy_bits, reference_kl, reference_q,
-                     state_from)
+from oracles import (exclude_token, finite_difference_net_grads, init_model,
+                     knn_sort_oracle, max_rel_err, oracle_conditional,
+                     random_micro_instance, reference_entropy_bits, reference_kl,
+                     reference_q, state_from)
 from topicvec import cli
 from topicvec.autoencoder import (ACTIVATIONS, NetTrainConfig, backprop, init_net,
                                   layer_learning_rates, reconstruction_error,
                                   train_autoencoder)
 from topicvec.corpus import build_corpus, cosine_similarity
 from topicvec.doc2vec import (Doc2VecConfig, avg_log_prob, epoch_schedule,
-                              init_model, log_prob_and_grads)
+                              log_prob_and_grads)
 from topicvec.doc2vec import train as d2v_train
 from topicvec.lda import (GeneratorConfig, LdaConfig, estimate_phi_theta,
                           full_conditional, generate_corpus, gibbs_sweep,

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import hidden_h, predict_distribution, reference_step, reference_train
+from oracles import (hidden_h, init_model, predict_distribution, reference_step,
+                     reference_train)
 from topicvec.corpus import build_corpus, cosine_similarity
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
                               build_windows, epoch_schedule, infer_vector,
-                              init_model, log_prob_and_grads, subsample, train)
+                              log_prob_and_grads, subsample, train)
 
 SENTENCE = "el gato negro es bellissimo".split()
 

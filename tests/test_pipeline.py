@@ -213,6 +213,22 @@ def test_configure_rejects_bad_settings_by_address(section, key, value):
         configure(PipelineConfig(), {section: {key: value}})
 
 
+NON_FINITE_SETTINGS = [
+    (section, key, value)
+    for section, keys in (("tsne", ("perplexity", "learning_rate", "exaggeration")),
+                          ("doc2vec", ("alpha0", "alpha_floor", "subsample")))
+    for key in keys for value in ("nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("section,key,value", NON_FINITE_SETTINGS)
+def test_config_file_rejects_non_finite_settings(tmp_path, section, key, value):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(PipelineError,
+                       match=re.escape(f"[{section}] {key}: {key} must be finite")):
+        load_config(ini)
+
+
 def test_configure_parses_by_field_type_without_touching_its_input():
     base = PipelineConfig()
     cfg = configure(base, {"lda": {"alpha": "0.5", "unnormalized": "yes",
@@ -414,6 +430,32 @@ def test_cli_bad_setting_fails_before_any_output(tmp_path, capsys, command,
         argv += ["--config", str(tmp_path / "bad.ini")]
     assert cli.main(argv) == 1
     assert address in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,setting,address", [
+    ("tsne", ["--perplexity", "nan"], "[tsne] perplexity"),
+    ("tsne", ["--learning-rate", "inf"], "[tsne] learning_rate"),
+    ("tsne", "[tsne]\nexaggeration = inf", "[tsne] exaggeration"),
+    ("doc2vec-train", ["--subsample", "nan"], "[doc2vec] subsample"),
+    ("doc2vec-train", "[doc2vec]\nalpha0 = nan", "[doc2vec] alpha0"),
+    ("doc2vec-train", "[doc2vec]\nalpha_floor = -inf", "[doc2vec] alpha_floor"),
+])
+def test_cli_non_finite_setting_fails_in_one_line(tmp_path, capsys, command,
+                                                  setting, address):
+    inputs, features = raw_fixture(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--out", str(out)]
+    if command == "tsne":
+        argv += ["--features", features]
+    if isinstance(setting, list):  # flags
+        argv += setting
+    else:  # INI text
+        (tmp_path / "bad.ini").write_text(setting + "\n")
+        argv += ["--config", str(tmp_path / "bad.ini")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"topicvec: error: {address}: {address.split()[1]} must be finite\n"
     assert not out.exists()
 
 

@@ -229,13 +229,41 @@ def test_gradient_zero_at_matching_distributions():
 
 
 def block_edge_sizes():
-    """Point counts around the descent's row blocks: well under one block,
-    exactly one full block, and several blocks whose last holds one row."""
+    """Point counts around the row blocks: well under one block, exactly
+    one full block, several full-width blocks whose last holds one row,
+    and the first counts that split the descent's upper triangle into two
+    and into three blocks, each ending in a two-row block with nothing
+    right of its square."""
     budget = tsne._BLOCK_ENTRIES
     full = math.isqrt(budget)
     assert budget // full == full
     ragged = next(n for n in range(full + 1, budget) if n % (budget // n) == 1)
-    return [20, full, ragged]
+    assert len(tsne._triangle_blocks(full)) == 1
+    assert len(tsne._triangle_blocks(full + 1)) == 2
+    three = next(n for n in range(full + 1, budget)
+                 if len(tsne._triangle_blocks(n)) == 3)
+    return [20, full, ragged, full + 1, three]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 24, 97, 3600])
+def test_triangle_blocks_tile_the_upper_triangle_once(monkeypatch, budget):
+    # budget 1 gives one-row blocks, 3600 one block for every n up to 60
+    monkeypatch.setattr(tsne, "_BLOCK_ENTRIES", budget)
+    ragged = 0
+    for n in range(1, 61):
+        blocks = tsne._triangle_blocks(n)
+        assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+        assert blocks[-1][1] == n
+        cover = np.zeros((n, n), dtype=int)
+        for s, e in blocks:
+            assert e - s == 1 or (e - s) * (n - s) <= budget
+            cover[s:e, s:] += 1
+        assert np.array_equal(np.triu(cover), np.triu(np.ones((n, n), dtype=int)))
+        assert (len(blocks) == 1) == (n * n <= budget)
+        s, e = blocks[-1]
+        ragged += e - s < budget // (n - s)
+    if budget in (24, 97):  # some last blocks stop short at n
+        assert ragged > 0
 
 
 @pytest.mark.parametrize("kernel", ["student_t", "gaussian"])
