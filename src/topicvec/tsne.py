@@ -313,6 +313,9 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
                 G *= W  # (p - q) / (1 + d^2)
             R[s:e] += G @ Y1[s:]
             R[e:] += G[:, m:].T @ Y1[s:e]
+        # the gradient is done with Q and G: take log Q in place and P into
+        # G, its right part doubled, so the block's share of sum p log q is
+        # one dot product (with one block, the whole-matrix one)
         self_pairs[:] = 1.0  # log 1 = 0
         np.log(Q, out=Q)
         np.copyto(G[:, :m], Pb[:, :m])

@@ -339,8 +339,10 @@ def test_too_few_points_rejected():
 
 # cases of (n, kernel, learning rate, exaggeration_iters, repeated rows,
 # equidistant rows); the Gaussian kernel diverges at the default learning
-# rate. The runs use blocks of 7 rows, so every case spans several blocks
-# and the n = 120 case ends in a one-row block. The descent sums in row
+# rate. The runs use a budget of 7n entries, so every case spans several
+# blocks: P is built in blocks of 7 rows (the n = 120 case ends in a
+# one-row block), and the descent's upper-triangle blocks start at 7 rows,
+# widen, and end short (4 rows at n = 120). The descent sums in row
 # blocks, the reference over whole matrices, and the descent amplifies
 # that round-off (on the n = 30 case the layouts differ by 1.0e-14
 # relative after 5 iterations, 2.9e-12 after 10 and 2.5e-7 after 20), so
