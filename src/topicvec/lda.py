@@ -49,8 +49,11 @@ class LdaConfig:
             raise ValueError("sample_lag must be >= 1")
         if self.readout not in ("final_sample", "thinned_average"):
             raise ValueError("readout must be 'final_sample' or 'thinned_average'")
-        self.alpha_vec()  # its length and sign; beta's length needs the vocabulary
-        if not np.all(np.asarray(self.beta, dtype=float) > 0):
+        self.alpha_vec()  # its checks; beta's length needs the vocabulary
+        b = np.asarray(self.beta, dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("beta must be finite")
+        if not np.all(b > 0):
             raise ValueError("beta entries must be positive")
 
     def alpha_vec(self) -> np.ndarray:
@@ -62,6 +65,8 @@ class LdaConfig:
             a = np.asarray(self.alpha, dtype=float)
             if a.shape != (self.num_topics,):
                 raise ValueError("alpha vector must have num_topics entries")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("alpha must be finite")
         if not np.all(a > 0):
             raise ValueError("alpha entries must be positive")
         return a

@@ -416,6 +416,14 @@ def test_invalid_configs_rejected():
         LdaConfig(alpha=-1.0).alpha_vec()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("alpha", math.inf), ("alpha", math.nan), ("alpha", [1.0, math.inf]),
+    ("beta", math.inf), ("beta", -math.inf), ("beta", [0.1, math.nan])])
+def test_non_finite_priors_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LdaConfig(num_topics=2, **{field: value})
+
+
 # --------------------------------------------------------------- top words
 
 def test_top_words_sorted_and_resolved():

@@ -216,7 +216,8 @@ def test_configure_rejects_bad_settings_by_address(section, key, value):
 NON_FINITE_SETTINGS = [
     (section, key, value)
     for section, keys in (("tsne", ("perplexity", "learning_rate", "exaggeration")),
-                          ("doc2vec", ("alpha0", "alpha_floor", "subsample")))
+                          ("doc2vec", ("alpha0", "alpha_floor", "subsample")),
+                          ("lda", ("alpha", "beta")))
     for key in keys for value in ("nan", "inf", "-inf")]
 
 

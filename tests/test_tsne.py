@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,107 @@ def test_unreachable_perplexity_returns_best_effort():
     row = np.array([0.0, 1.0, 1.0, 1.0])
     sigma = calibrate_sigma(row, perp=2.0, self_index=0)  # forced perp is 3
     assert sigma > 0 and np.isfinite(sigma)
+
+
+def assert_reference_bandwidths(rows, perp):
+    """calibrate_sigma gives every row the reference bandwidth, with no
+    warning of any kind."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = [calibrate_sigma(row, perp, i) for i, row in enumerate(rows)]
+    slow = [reference_calibrate_sigma(row, perp, i) for i, row in enumerate(rows)]
+    assert np.array_equal(fast, slow)
+
+
+def test_certified_bracket_holds_the_bandwidth_of_ordinary_rows():
+    # the fast path is live: ordinary rows get a finite bracket on both
+    # sides, and the search's answer lies inside it
+    d2 = squared_distances(awkward_data(120, seed=3))
+    for i in range(0, 120, 7):
+        d = np.delete(d2[i], i)
+        d -= d.min()
+
+        def achieved(sigma):
+            p = np.exp(-d / (2.0 * sigma * sigma))
+            return reference_entropy_bits(p / p.sum())
+
+        lo, hi = tsne._certified_bracket(d, 15.0, np.log2(15.0), 1e-5, achieved)
+        assert 0.0 < lo < calibrate_sigma(d2[i], 15.0, i) < hi < math.inf
+
+
+def shifted_root(shift, slope=None):
+    """A stand-in for tsne._entropy_root that moves the true root by
+    `shift` in log sigma and, if given, reports `slope` instead."""
+    true_root = tsne._entropy_root
+
+    def fake(d, perp, target, tol):
+        root = true_root(d, perp, target, tol)
+        if root is None:  # no root: make one up
+            root = (0.3, 1.0)
+        return root[0] + shift, root[1] if slope is None else slope
+
+    return fake
+
+
+@pytest.mark.parametrize("fake", [
+    shifted_root(3.0), shifted_root(-3.0), shifted_root(2e-5),
+    shifted_root(0.0, slope=1e-300), shifted_root(0.0, slope=1e-4),
+    shifted_root(0.0, slope=1e4), lambda d, perp, target, tol: None],
+    ids=["far-above", "far-below", "just-above", "flat", "shallow", "steep",
+         "none"])
+def test_a_bad_root_costs_only_time(monkeypatch, fake):
+    monkeypatch.setattr(tsne, "_entropy_root", fake)
+    for n, perp, dups, simplex in [(80, 12.5, 10, 0), (150, 20.0, 0, 30)]:
+        assert_reference_bandwidths(
+            squared_distances(awkward_data(n, seed=n, dups=dups, simplex=simplex)),
+            perp)
+    for rows in equidistant_and_tied_rows():
+        for perp in (2.0, 7.3, 28.5):
+            assert_reference_bandwidths(rows, perp)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_calibration_matches_reference_on_tiny_and_huge_distances(scale):
+    d2 = squared_distances(awkward_data(60, seed=11, dups=6, simplex=8))
+    for perp in (5.0, 30.0):
+        assert_reference_bandwidths(scale * d2, perp)
+
+
+def rows_tied_at_the_nearest(n, ties, seed):
+    """n rows of squared distances, row i with its self entry at i and
+    `ties` other entries at the nearest distance 1.0, the rest farther."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(1.5, 10.0, size=(n, n))
+    for i, row in enumerate(rows):
+        row[rng.choice(np.delete(np.arange(n), i), ties, replace=False)] = 1.0
+        row[i] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("ties", [9, 12])
+def test_calibration_matches_reference_with_ties_at_the_nearest_distance(ties):
+    # perp below the tie count has no root; above it, a steep one
+    rows = rows_tied_at_the_nearest(40, ties, seed=ties)
+    for perp in (5.0, 8.5, 11.5, 12.5, 20.0):
+        assert_reference_bandwidths(rows, perp)
+
+
+def test_calibration_with_as_many_ties_as_the_perplexity_meets_target():
+    # the entropy falls to log2(ties) only as sigma goes to 0, so, as at
+    # perp = n - 1, rounding decides where either search stops, and the
+    # library's entropy formula and the reference's round apart there
+    rows = rows_tied_at_the_nearest(40, 9, seed=9)
+    for i, row in enumerate(rows):
+        for sigma in (calibrate_sigma(row, 9.0, i),
+                      reference_calibrate_sigma(row, 9.0, i)):
+            bits = reference_entropy_bits(conditional_affinities(row, sigma, i))
+            assert abs(bits - math.log2(9.0)) < 1e-5
+
+
+def test_calibration_matches_reference_just_below_the_limit_perplexity():
+    for rows in (squared_distances(awkward_data(30, seed=30)),
+                 equidistant_and_tied_rows()[1]):
+        assert_reference_bandwidths(rows, len(rows) - 1.5)
 
 
 # ----------------------------------------------------------- joint P and Q
