@@ -61,6 +61,8 @@ class Doc2VecConfig:
                              "(no epoch would run)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
         if self.mode not in ("pvdm", "pvdbow"):

@@ -47,6 +47,8 @@ class LdaConfig:
             raise ValueError("burn_in must lie in [0, sweeps)")
         if self.sample_lag < 1:
             raise ValueError("sample_lag must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.readout not in ("final_sample", "thinned_average"):
             raise ValueError("readout must be 'final_sample' or 'thinned_average'")
         self.alpha_vec()  # its checks; beta's length needs the vocabulary

@@ -151,6 +151,10 @@ class PipelineConfig:
             raise ValueError(f"knn_metric must be one of {nn_mod.METRICS}")
         if self.lda_num_words < 1:
             raise ValueError("lda_num_words must be >= 1")
+        if self.knn_index < 0:
+            raise ValueError("knn_index must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 STAGES = {"preprocess": PreprocessConfig, "lda": LdaConfig,
@@ -188,7 +192,8 @@ def configure(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
     """A copy of `cfg` with `settings` ({section: {key: value}}, at INI
     addresses) applied, string values parsed by their field's type, and the
     stage seeds derived from [run] seed. Every config is rebuilt, so its own
-    checks run; a bad key or value raises PipelineError naming `[section] key`."""
+    checks run, the run-level ones ([run] seed among them) before the
+    stages'; a bad key or value raises PipelineError naming `[section] key`."""
     changes = {target: {} for target in (None, *STAGES)}
     for section, values in settings.items():
         for key, value in values.items():
@@ -215,9 +220,9 @@ def configure(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
             at = {v: k for k, v in SETTINGS.items()}.get((target, str(e).split()[0]))
             raise PipelineError(f"[{at[0]}] {at[1]}: {e}" if at else str(e)) from None
 
-    for stage in STAGES:
-        changes[None][stage] = rebuild(stage, getattr(cfg, stage))
-    return rebuild(None, cfg)
+    checked = rebuild(None, cfg)
+    return dataclasses.replace(
+        checked, **{stage: rebuild(stage, getattr(cfg, stage)) for stage in STAGES})
 
 
 def load_config(path) -> PipelineConfig:
@@ -346,14 +351,22 @@ def _load_features(cfg: PipelineConfig, features_path: str):
     return features, titles
 
 
+def query_row(cfg: PipelineConfig, titles: list[str]) -> int:
+    """Row of the KNN query: that of [knn] title when it is set, else
+    [knn] index, checked against the titles."""
+    if cfg.knn_title is not None:
+        return title_lookup(titles, cfg.knn_title)
+    if cfg.knn_index >= len(titles):
+        raise PipelineError(f"[knn] index: row {cfg.knn_index} is out of range "
+                            f"for {len(titles)} titles")
+    return cfg.knn_index
+
+
 def run_knn(cfg: PipelineConfig, features_path: str,
             out_name: str = "knn.tsv") -> str:
     features, titles = _load_features(cfg, features_path)
-    if cfg.knn_title is not None:
-        index = title_lookup(titles, cfg.knn_title)
-    else:
-        index = cfg.knn_index
-    result = nn_mod.knn(features, index, cfg.knn_k, cfg.knn_metric)
+    result = nn_mod.knn(features, query_row(cfg, titles), cfg.knn_k,
+                        cfg.knn_metric)
     listing = nn_mod.format_listing(result, titles)
     with open(_out(cfg, out_name), "w", encoding="utf-8") as f:
         f.write(listing)
@@ -369,7 +382,10 @@ def run_tsne(cfg: PipelineConfig, features_path: str,
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:
-    """All stages in order, on both feature sets."""
+    """All stages in order, on both feature sets. The KNN query is
+    resolved against the titles first, so a bad one fails before any
+    training."""
+    query_row(cfg, _load_titles(cfg))
     run_preprocess(cfg)
     run_lda_train(cfg)
     run_lda_topics(cfg)

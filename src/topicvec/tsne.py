@@ -1,16 +1,12 @@
 """Exact t-SNE in two dimensions.
 
 High-dimensional affinities are Gaussian with per-point bandwidths found
-by a perplexity binary search, then symmetrized into a joint P. The
-search scores each bandwidth with one exponential over the row: the
-entropy is log Z + beta * E[d^2], with the self entry removed and the
-nearest squared distance shifted out. Before it, a Newton iteration in
-log sigma finds where the entropy meets the target, and two exact
-evaluations certify a bracket sigma_lo < root < sigma_hi with a margin
-beyond the tolerance. The entropy rises with sigma, so the binary
-search evaluates only the bandwidths inside that bracket and knows the
-answer for those outside it: its steps and its result are those of the
-plain search, from about a quarter of the evaluations. The
+by a perplexity search, then symmetrized into a joint P. The search is
+a safeguarded Newton iteration in log sigma that scores each bandwidth
+with one exponential over the row, giving the entropy log Z + beta *
+E[d^2] and its slope, with the self entry removed and the nearest
+squared distance shifted out; it stops at the first bandwidth whose
+entropy is within the tolerance of the target. The
 low-dimensional kernel defaults to the Student-t (heavy-tailed) form;
 the plain Gaussian kernel is available as an option. Optimization is
 plain gradient descent on the KL divergence with a two-stage momentum
@@ -50,11 +46,12 @@ import numpy as np
 
 _FLOOR = 1e-12
 _BLOCK_ENTRIES = 1 << 17  # pair-matrix entries per descent row block (1 MB)
-_LN2 = np.log(2.0)
-# the bracketing of calibrate_sigma stays within sigma = 2**-64 .. 2**64,
-# and exp(2 * 45) keeps beta finite
+_LN2 = math.log(2.0)
+# calibrate_sigma searches log sigma in [-45, 45], and exp(2 * 45) keeps
+# beta finite; halving that bracket reaches the float spacing of log sigma
+# within 60 steps, so a search that takes 100 has no root inside it
 _LOG_SIGMA_BOUND = 45.0
-_NEWTON_STEPS = 40
+_MAX_STEPS = 100
 KERNELS = ("student_t", "gaussian")
 
 
@@ -92,6 +89,8 @@ class TsneConfig:
             raise ValueError("exaggeration_iters must be >= 0")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def momentum(self, t: int) -> float:
         return self.momentum_initial if t < self.momentum_switch else self.momentum_final
@@ -132,171 +131,68 @@ def conditional_affinities(sq_row, sigma: float, self_index: int) -> np.ndarray:
 
 
 def calibrate_sigma(sq_row, perp: float, self_index: int,
-                    tol: float = 1e-5, max_bisections: int = 50) -> float:
-    """Bandwidth whose neighbor distribution has the requested perplexity.
+                    tol: float = 1e-5) -> float:
+    """Bandwidth whose neighbor distribution has the requested perplexity:
+    its entropy lies within tol bits of log2(perp).
 
-    Brackets by geometric expansion from sigma = 1, then bisects until the
-    entropy matches log2(perp) within tol bits or the bisection budget
-    runs out; in that case the last midpoint tried is returned (an exactly
-    equidistant row has the same perplexity for every sigma, so any value
-    is as good).
+    With beta = 1 / 2 sigma^2, the squared distances d to the other points
+    shifted so the nearest is 0 and w = exp(-beta d), one product of w
+    with the rows 1, d and d^2 gives the entropy H = (log(sum w) + beta
+    sum(w d) / sum(w)) / ln 2, equal to the entropy of
+    `conditional_affinities` up to rounding, and its slope in u = log
+    sigma, 2 beta^2 Var_w(d) / ln 2. Newton steps in u start where sigma^2
+    is the ceil(perp)-th nearest distance over e^2 and are clamped to 2.
+    The loop keeps a bracket of u, from [-45, 45], on the points it has
+    seen, and bisects it when a step leaves it or |H - log2(perp)| fails
+    to halve; it returns exp(u) once |H - log2(perp)| < tol, or after
+    100 steps, which only a root beyond the bracket takes (squared
+    distances of order 1e39 and above, or 1e-39 and below): sigma then
+    ends near e^45 or e^-45.
 
-    With beta = 1 / 2 sigma^2 and the squared distances d to the other
-    points shifted so the nearest is 0, the weights are w = exp(-beta d)
-    and the entropy in nats is log(sum w) + beta * sum(w d) / sum(w): one
-    exponential per evaluation, equal to the entropy of
-    `conditional_affinities` up to rounding.
-
-    Most of the entropies the search compares are implied rather than
-    evaluated. `_certified_bracket` first finds the root in log sigma by
-    a Newton iteration and certifies sigma_lo < root < sigma_hi with two
-    evaluations, the entropy at sigma_lo lying below log2(perp) - tol and
-    at sigma_hi above log2(perp) + tol, each by a margin of 1e-3 tol (at
-    least 1e-9 bits). The entropy rises with sigma, so every sigma at or
-    below sigma_lo would compare as too small and every sigma at or above
-    sigma_hi as too large; the search takes those answers without an
-    evaluation and evaluates only between the two. Its steps, and so the
-    returned sigma, are those of the plain search bit for bit; a poor
-    root costs evaluations, never a different bandwidth. A row with no
-    usable root (perplexity 1 or below, or n - 1 or above, at least perp
-    points tied at the nearest distance, a root too flat to bracket)
-    gets sigma_lo = 0 and sigma_hi = inf: every entropy is evaluated.
+    H rises with sigma from log2 of the number of points at the nearest
+    distance (sigma -> 0) to log2 of the number of other points (sigma ->
+    inf). A row whose target lies outside that range has no root and gets
+    its limit bandwidth without a search: e^45, a uniform row, when perp
+    is at or above the number of other points; e^-45, all mass on the
+    nearest points, when perp <= 1 or at least perp points tie at the
+    nearest distance.
     """
-    target = np.log2(perp)
     d = np.delete(np.asarray(sq_row, dtype=float), self_index)
     d -= d.min()
-
-    def achieved(sigma):
-        beta = 1.0 / (2.0 * sigma * sigma)
-        w = np.exp(-beta * d)
-        z = w.sum()
-        return (np.log(z) + beta * (w @ d) / z) / _LN2
-
-    sigma_lo, sigma_hi = _certified_bracket(d, perp, target, tol, achieved)
-
-    def entropy(sigma):  # outside the bracket, an infinity that compares alike
-        if sigma <= sigma_lo:
-            return -math.inf
-        if sigma >= sigma_hi:
-            return math.inf
-        return achieved(sigma)
-
-    sigma = 1.0
-    h = entropy(sigma)
-    if abs(h - target) < tol:
-        return sigma
-    if h < target:  # perplexity grows with sigma
-        lo = sigma
-        for _ in range(64):
-            sigma *= 2.0
-            h = entropy(sigma)
-            if h >= target:
-                break
-            lo = sigma
-        hi = sigma
-    else:
-        hi = sigma
-        for _ in range(64):
-            sigma /= 2.0
-            h = entropy(sigma)
-            if h <= target:
-                break
-            hi = sigma
-        lo = sigma
-    for _ in range(max_bisections):
-        sigma = 0.5 * (lo + hi)
-        h = entropy(sigma)
-        if abs(h - target) < tol:
-            return sigma
-        if h < target:
-            lo = sigma
-        else:
-            hi = sigma
-    return sigma
-
-
-def _certified_bracket(d, perp, target, tol, achieved):
-    """(sigma_lo, sigma_hi) with achieved(sigma_lo) below target - tol and
-    achieved(sigma_hi) above target + tol, both by a margin of 1e-3 tol
-    and at least 1e-9 bits, far above the rounding of one evaluation.
-
-    Each side is tried 1.2 tol / slope in log sigma from the Newton root
-    of `_entropy_root`, and up to twice more at four times the distance;
-    a side that fails, or has no root to start from, is left at 0 or inf.
-    """
-    root = _entropy_root(d, perp, target, tol)
-    if root is None:
-        return 0.0, math.inf
-    u, slope = root
-    margin = tol + max(1e-3 * tol, 1e-9)
-    bounds = [0.0, math.inf]
-    for side, sign in enumerate((-1.0, 1.0)):
-        width = 1.2 * tol / slope
-        for _ in range(3):
-            v = u + sign * width
-            if not abs(v) <= _LOG_SIGMA_BOUND:
-                break
-            sigma = math.exp(v)
-            if sign * (achieved(sigma) - target) > margin:
-                bounds[side] = sigma
-                break
-            width *= 4.0
-    return tuple(bounds)
-
-
-def _entropy_root(d, perp, target, tol):
-    """(log sigma, slope) where the entropy of the shifted row d crosses
-    target bits, the slope in bits per unit of log sigma; None if there
-    is no usable root.
-
-    With w = exp(-beta d), one product of w with the rows 1, d and d^2
-    gives the entropy H and its slope 2 beta^2 Var_w(d) / ln 2. The
-    Newton iteration starts where sigma^2 is the ceil(perp)-th nearest
-    distance over e^2, clamps its steps to 2 in log sigma, keeps the
-    bracket of the points it has seen and bisects that bracket when a
-    step leaves it or |H - target| fails to halve. Within 100 tol of the
-    target it returns the Newton step's end point without evaluating it.
-    The entropy runs from log2 of the number of points at the nearest
-    distance (sigma -> 0) to log2(len(d)) (sigma -> inf), so perp must
-    lie strictly between those counts for a root to exist.
-    """
     n = len(d)
-    if not 1.0 < perp < n:
-        return None
+    if perp >= n:
+        return math.exp(_LOG_SIGMA_BOUND)
     k = math.ceil(perp) - 1
-    dk = float(np.partition(d, k)[k])
-    if not 0.0 < dk < math.inf:  # perp or more points at the nearest distance
-        return None
+    dk = float(np.partition(d, k)[k]) if perp > 1.0 else 0.0
+    if dk == 0.0:  # perp <= 1, or perp or more points at the nearest distance
+        return math.exp(-_LOG_SIGMA_BOUND)
+    target = math.log2(perp)
     rows = np.empty((3, n))
     rows[0] = 1.0
     rows[1] = d
     np.multiply(d, d, out=rows[2])
-    u = 0.5 * math.log(dk) - 1.0
-    lo, hi = -math.inf, math.inf  # log sigmas seen below and above the root
+    lo, hi = -_LOG_SIGMA_BOUND, _LOG_SIGMA_BOUND
+    u = min(max(0.5 * math.log(dk) - 1.0, lo), hi)
     last = math.inf
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_MAX_STEPS):
         beta = 0.5 * math.exp(-2.0 * u)
         z, s1, s2 = (rows @ np.exp(d * -beta)).tolist()
         mean = s1 / z
-        # Python floats: dividing by a tiny slope gives inf, not a warning
-        err = float((math.log(z) + beta * mean) / _LN2 - target)
-        slope = float(2.0 * beta * beta * (s2 / z - mean * mean) / _LN2)
-        if abs(err) < 100.0 * tol:
-            root = u - err / slope if slope > 0.0 else math.nan
-            return (root, slope) if abs(root) <= _LOG_SIGMA_BOUND else None
+        err = (math.log(z) + beta * mean) / _LN2 - target
+        if abs(err) < tol:
+            break
         if err < 0.0:
             lo = u
         else:
             hi = u
+        # Python floats: dividing by a tiny slope gives inf, not a warning
+        slope = 2.0 * beta * beta * (s2 / z - mean * mean) / _LN2
         step = -err / slope if slope > 0.0 else math.copysign(2.0, -err)
         nxt = u + max(-2.0, min(2.0, step))
-        if (not lo < nxt < hi or abs(err) > 0.5 * last) \
-                and math.isfinite(lo) and math.isfinite(hi):
+        if not lo < nxt < hi or abs(err) > 0.5 * last:
             nxt = 0.5 * (lo + hi)
-        if not abs(nxt) <= _LOG_SIGMA_BOUND:
-            return None
         u, last = nxt, abs(err)
-    return None
+    return math.exp(u)
 
 
 def symmetrize(p_conditional: np.ndarray) -> np.ndarray:

@@ -343,9 +343,10 @@ def reference_entropy_bits(p_row):
 def reference_calibrate_sigma(sq_row, perp, self_index, tol=1e-5,
                               max_bisections=50):
     """Perplexity search that normalizes the whole row for every sigma it
-    tries and takes the entropy of the normalized probabilities: the
-    oracle for `tsne.calibrate_sigma`, with the same bracketing and
-    bisection."""
+    tries and takes the entropy of the normalized probabilities, by
+    doubling or halving sigma from 1 and then bisecting: the plain search
+    that `tsne.calibrate_sigma` must match in how close it comes to the
+    target."""
     target = np.log2(perp)
 
     def achieved(sigma):
@@ -411,9 +412,10 @@ def reference_gradient(P, Y, kernel):
     return 4.0 * (np.diag(G.sum(axis=1)) @ Y - G @ Y)
 
 
-def reference_tsne_run(X, cfg):
+def reference_tsne_run(X, cfg, calibrate=reference_calibrate_sigma):
     """Exact t-SNE written plainly: the oracle for `tsne.run`.
 
+    Each row's bandwidth comes from `calibrate(sq_row, perp, self_index)`.
     Each iteration takes the gradient from `reference_gradient` and the
     KL with boolean masks. Returns (Y, kl_trace).
     """
@@ -422,7 +424,7 @@ def reference_tsne_run(X, cfg):
     n = d2.shape[0]
     P_cond = np.zeros((n, n))
     for i in range(n):
-        sigma = reference_calibrate_sigma(d2[i], cfg.perplexity, i)
+        sigma = calibrate(d2[i], cfg.perplexity, i)
         P_cond[i] = _reference_conditional(d2[i], sigma, i)
     P = np.maximum((P_cond + P_cond.T) / (2.0 * n), 1e-12)
     np.fill_diagonal(P, 0.0)

@@ -17,6 +17,7 @@ from topicvec.pipeline import (SETTINGS, CorruptArchiveError, KindMismatchError,
                                PipelineConfig, PipelineError, VersionMismatchError,
                                configure, load_config, load_matrix_csv, load_model,
                                save_model, title_lookup, write_matrix_csv)
+from topicvec.tsne import TsneConfig
 
 
 @pytest.fixture
@@ -206,7 +207,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("tsne", "perplexity", "-5"), ("tsne", "exaggeration", "0"),
     ("tsne", "exaggeration_iters", "-1"), ("tsne", "momentum_switch", "-1"),
     ("tsne", "momentum_initial", "-0.1"), ("tsne", "momentum_final", "1"),
-    ("knn", "k", "0"), ("knn", "metric", "manhattan"),
+    ("knn", "k", "0"), ("knn", "metric", "manhattan"), ("knn", "index", "-1"),
+    ("run", "seed", "-5"), ("run", "seed", "-1"),
 ])
 def test_configure_rejects_bad_settings_by_address(section, key, value):
     with pytest.raises(PipelineError, match=re.escape(f"[{section}] {key}")):
@@ -291,6 +293,12 @@ def test_stage_command_seeds_derive_from_ini_run_seed(tmp_path):
 def test_stage_seeds_derive_from_global_seed():
     cfg = configure(PipelineConfig(), {"run": {"seed": "10"}})
     assert (cfg.lda.seed, cfg.doc2vec.seed, cfg.tsne.seed) == (11, 12, 13)
+
+
+@pytest.mark.parametrize("cls", [LdaConfig, Doc2VecConfig, TsneConfig])
+def test_stage_configs_reject_a_negative_seed(cls):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        cls(seed=-1)
 
 
 # ---------------------------------------------------------------------- csv
@@ -416,6 +424,8 @@ def raw_fixture(tmp_path):
     ("tsne", "[tsne]\nexaggeration = -4", "[tsne] exaggeration"),
     ("tsne", "[tsne]\nmomentum_final = 1.0", "[tsne] momentum_final"),
     ("preprocess", "[preprocess]\nstopwords = the", "[preprocess] stopwords"),
+    ("pipeline", ["--seed", "-5"], "[run] seed"),
+    ("pipeline", "[knn]\nindex = -1", "[knn] index"),
 ])
 def test_cli_bad_setting_fails_before_any_output(tmp_path, capsys, command,
                                                  setting, address):
@@ -432,6 +442,22 @@ def test_cli_bad_setting_fails_before_any_output(tmp_path, capsys, command,
     assert cli.main(argv) == 1
     assert address in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("query,message", [
+    ("index = 3", "[knn] index: row 3 is out of range for 3 titles"),
+    ("title = No Such Film", "unknown title 'No Such Film'")])
+def test_cli_pipeline_checks_the_knn_query_before_preprocessing(tmp_path, capsys,
+                                                                query, message):
+    inputs, _ = raw_fixture(tmp_path)
+    (tmp_path / "knn.ini").write_text(f"[knn]\n{query}\n")
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", *inputs, "--out", str(out),
+                     "--config", str(tmp_path / "knn.ini")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("topicvec: error: ")
+    assert message in err
+    assert not (out / "corpus_filtered.txt").exists()
 
 
 @pytest.mark.parametrize("command,setting,address", [
