@@ -355,7 +355,10 @@ def query_row(cfg: PipelineConfig, titles: list[str]) -> int:
     """Row of the KNN query: that of [knn] title when it is set, else
     [knn] index, checked against the titles."""
     if cfg.knn_title is not None:
-        return title_lookup(titles, cfg.knn_title)
+        try:
+            return title_lookup(titles, cfg.knn_title)
+        except KeyError as e:  # its str() would quote the message
+            raise PipelineError(f"[knn] title: {e.args[0]}") from None
     if cfg.knn_index >= len(titles):
         raise PipelineError(f"[knn] index: row {cfg.knn_index} is out of range "
                             f"for {len(titles)} titles")

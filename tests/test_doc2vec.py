@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import (hidden_h, init_model, predict_distribution, reference_step,
                      reference_train)
-from topicvec.corpus import build_corpus, cosine_similarity
+from topicvec import pipeline
+from topicvec.corpus import build_corpus, cosine_similarity, load_token_file
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
                               build_windows, epoch_schedule, infer_vector,
                               log_prob_and_grads, subsample, train)
 
 SENTENCE = "el gato negro es bellissimo".split()
+DATA = files("topicvec") / "data"
 
 
 def toy_corpus():
@@ -44,6 +48,27 @@ def manual_model(V, dim, seed, zero_softmax=False):
     return EmbeddingModel(W, D, U, b, Doc2VecConfig(dim=dim, min_count=1),
                           terms, {t: i for i, t in enumerate(terms)}, freq,
                           ["a", "b", "c"])
+
+
+@pytest.fixture(scope="module")
+def mini(tmp_path_factory):
+    """The bundled mini corpus as `topicvec pipeline` trains doc2vec on it
+    (the filtered token file read back), and mini.ini's doc2vec settings."""
+    out = tmp_path_factory.mktemp("mini")
+    cfg = dataclasses.replace(
+        pipeline.load_config(str(DATA / "mini.ini")),
+        corpus_path=str(DATA / "mini_plots.txt"),
+        titles_path=str(DATA / "mini_titles.txt"),
+        stopwords_path=str(DATA / "stopwords.txt"), out_dir=str(out))
+    pipeline.run_preprocess(cfg)
+    titles = (DATA / "mini_titles.txt").read_text().splitlines()
+    return (build_corpus(load_token_file(str(out / "corpus_filtered.txt")),
+                         titles), cfg.doc2vec)
+
+
+def unsigned_zeros(a):
+    """`a` with every zero as +0.0 and every other entry unchanged."""
+    return np.where(a == 0, 0.0, a)
 
 
 # ----------------------------------------------------------------- windows
@@ -223,21 +248,48 @@ def test_training_deterministic():
 
 @pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])
 def test_log_prob_and_grads_match_reference_step_bitwise(mode):
-    rng = np.random.default_rng(21)
-    for trial in range(40):
-        V, dim = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-        model = manual_model(V=V, dim=dim, seed=trial)
-        model.config.mode = mode
-        m = int(rng.integers(3))
-        # pvdm contexts of every length from 0, with repeated ids
-        ctx = rng.integers(V, size=int(rng.integers(7))).tolist() \
-            if mode == "pvdm" else []
-        target = int(rng.integers(V))
-        got = log_prob_and_grads(model, m, ctx, target)
-        want = reference_step(model, model.D[m], ctx, target)
-        assert got[0] == want[0]
-        for g, w in zip(got[1:], want[1:]):
-            assert np.array_equal(g, w)
+    # with the biases scaled by 4000 most softmax entries underflow to 0, so
+    # err holds -0.0 and gU = err h^T holds zero products of either sign
+    rng, zeros_rng = np.random.default_rng(21), np.random.default_rng(22)
+    for logit_scale in (1.0, 4000.0):
+        signed_zeros = 0
+        for trial in range(40):
+            V, dim = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            model = manual_model(V=V, dim=dim, seed=trial)
+            model.config.mode = mode
+            model.b *= logit_scale
+            m = int(rng.integers(3))
+            # pvdm contexts of every length from 0, with repeated ids
+            ctx = rng.integers(V, size=int(rng.integers(7))).tolist() \
+                if mode == "pvdm" else []
+            target = int(rng.integers(V))
+            got = log_prob_and_grads(model, m, ctx, target)
+            want = reference_step(model, model.D[m], ctx, target)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            for g, w in zip(got[2:], want[2:]):
+                assert g.tobytes() == w.tobytes()
+            # gU is np.outer's bit for bit but for the sign of a zero
+            # product, which the BLAS path may drop
+            assert unsigned_zeros(got[1]).tobytes() == \
+                unsigned_zeros(want[1]).tobytes()
+            signed_zeros += int(np.count_nonzero(np.signbit(want[1][want[1] == 0])))
+            # training cannot tell them apart: U starts at +0.0 and never
+            # holds -0.0, as an IEEE sum is -0.0 only when both terms are
+            U = np.where(zeros_rng.random(model.U.shape) < 0.3, 0.0, model.U)
+            assert (U + 0.025 * got[1]).tobytes() == \
+                (U + 0.025 * want[1]).tobytes()
+        assert signed_zeros > (100 if logit_scale > 1 else 0)
+
+
+def test_log_prob_and_grads_writes_gU_into_out_when_given():
+    model = manual_model(V=7, dim=3, seed=5)
+    fresh = log_prob_and_grads(model, 1, [2, 4, 2], 3)[1]
+    again = log_prob_and_grads(model, 1, [2, 4, 2], 3)[1]
+    assert not np.shares_memory(fresh, again)
+    out = np.full((7, 3), np.nan)
+    gU = log_prob_and_grads(model, 1, [2, 4, 2], 3, out=out)[1]
+    assert gU is out
+    assert out.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("subsample_threshold", [1.0, 0.1])
@@ -253,7 +305,18 @@ def test_training_matches_reference_loop_bitwise(mode, subsample_threshold):
     cfg = toy_config(max_epochs=6, mode=mode, subsample=subsample_threshold)
     got, want = train(corp, cfg), reference_train(corp, cfg)
     for name in ("D", "W", "U", "b"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_training_matches_reference_loop_bitwise_on_mini_corpus(mini):
+    # the vocabulary and dimension of the quick start, where BLAS may take
+    # other kernel paths than at the toy sizes above
+    corp, cfg = mini
+    cfg = dataclasses.replace(cfg, max_epochs=1)
+    got, want = train(corp, cfg), reference_train(corp, cfg)
+    assert (len(got.terms), cfg.dim, cfg.mode) == (194, 16, "pvdm")
+    for name in ("D", "W", "U", "b"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 # --------------------------------------------------------------- gradients
@@ -384,7 +447,19 @@ def test_inference_matches_training_step_reference(mode):
         if not any(w in model.term_to_id for w in doc):
             continue
         got = infer_vector(model, doc, cfg)
-        assert np.max(np.abs(got - reference_infer_vector(model, doc, cfg))) <= 1e-12
+        assert got.tobytes() == reference_infer_vector(model, doc, cfg).tobytes()
+
+
+def test_inference_matches_training_step_reference_on_mini_corpus(mini):
+    corp, cfg = mini
+    model = train(corp, dataclasses.replace(cfg, max_epochs=1))
+    docs = [[corp.vocab.id_to_term[t] for t in doc.tokens]
+            for doc in corp.docs[:8]]
+    docs = [d for d in docs if any(w in model.term_to_id for w in d)][:5]
+    assert len(docs) == 5
+    for doc in docs:
+        got = infer_vector(model, doc, cfg)
+        assert got.tobytes() == reference_infer_vector(model, doc, cfg).tobytes()
 
 
 def test_inference_deterministic():

@@ -347,6 +347,25 @@ def test_cli_knn_unknown_title_fails_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["knn", "pipeline"])
+def test_cli_unknown_title_names_the_setting_without_quotes(tmp_path, capsys,
+                                                            command):
+    if command == "knn":
+        fpath, tpath = winners_fixture(tmp_path)
+        argv = ["knn", "--features", str(fpath), "--titles", str(tpath),
+                "--title", "No Such Film"]
+    else:
+        inputs, _ = raw_fixture(tmp_path)
+        (tmp_path / "knn.ini").write_text("[knn]\ntitle = No Such Film\n")
+        argv = ["pipeline", *inputs, "--config", str(tmp_path / "knn.ini")]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("topicvec: error: [knn] title: "
+                          "unknown title 'No Such Film'; closest matches: [")
+    assert '"' not in err
+
+
 def test_cli_missing_inputs_fail_nonzero(tmp_path, capsys):
     rc = cli.main(["lda-train", "--corpus", str(tmp_path / "absent.txt"),
                    "--titles", str(tmp_path / "absent2.txt"),
