@@ -123,10 +123,9 @@ def build_corpus(docs: list[list[str]], labels: list[str]) -> Corpus:
     doc_freq = np.zeros(V, dtype=np.int64)
     collection_freq = np.zeros(V, dtype=np.int64)
     for ids in indexed:
-        for t in ids:
-            collection_freq[t] += 1
-        for t in set(ids.tolist()):
-            doc_freq[t] += 1
+        terms, counts = np.unique(ids, return_counts=True)
+        collection_freq[terms] += counts
+        doc_freq[terms] += 1
 
     vocab = Vocabulary(term_to_id, id_to_term, doc_freq, collection_freq)
     tdocs = [TokenizedDocument(label, ids) for label, ids in zip(labels, indexed)]

@@ -6,7 +6,8 @@ window from the document vector alone. Training ascends the average log
 probability by per-instance gradient steps with a multiplicative
 learning-rate decay. Training, fold-in (`infer_vector`) and
 `avg_log_prob` share one fused forward/backward step, and training and
-fold-in take each epoch's instances from one routine.
+fold-in take each epoch's instances, windows of model ids, from one
+routine.
 
 The step makes few numpy calls per instance, because at small
 vocabularies the call overhead outweighs the arithmetic: one gathered
@@ -23,7 +24,7 @@ sign of a zero entry where `np.outer` keeps it; U cannot see that,
 since it starts at +0.0 and an IEEE sum is -0.0 only when both terms
 are, so D, W, U and b keep their bytes. In-process, a training instance
 took 25 µs at V = 194, dim 16 (the mini corpus) and 31-35 µs at V =
-400-514, against 30 and 40-43 µs with `np.multiply.outer`.
+400-514.
 """
 
 from __future__ import annotations
@@ -104,27 +105,25 @@ def epoch_schedule(cfg: Doc2VecConfig) -> list[float]:
 
 def build_windows(doc_tokens, window: int, mode: str,
                   rng: np.random.Generator | None = None):
-    """Training instances as (context positions, center position) pairs.
+    """Training instances as (context tokens, target token) pairs, taken
+    from the list `doc_tokens` itself (model ids in training and fold-in).
 
-    pvdm: every position is a center, with up to `window` context words on
+    pvdm: every token is a target, with up to `window` context tokens on
     each side (truncated at the document edges). pvdbow: one target is
     sampled per contiguous window-length span, with an empty context.
     """
-    n = len(doc_tokens)
+    toks = list(doc_tokens)
+    n = len(toks)
     if n == 0:
         raise ValueError("document is empty")
     if mode == "pvdm":
-        out = []
-        for i in range(n):
-            ctx = tuple(range(max(0, i - window), i)) + \
-                tuple(range(i + 1, min(n, i + window + 1)))
-            out.append((ctx, i))
-        return out
+        return [(toks[max(0, i - window):i] + toks[i + 1:i + window + 1],
+                 toks[i]) for i in range(n)]
     if mode == "pvdbow":
         if rng is None:
             raise ValueError("pvdbow windowing needs an rng to sample targets")
         span_len = min(window, n)
-        return [((), i + int(rng.integers(span_len)))
+        return [([], toks[i + int(rng.integers(span_len))])
                 for i in range(n - span_len + 1)]
     raise ValueError(f"unknown mode: {mode!r}")
 
@@ -134,11 +133,8 @@ def subsample(tokens, threshold: float, frequencies: np.ndarray,
     """Randomly thin frequent words: an occurrence of a word with relative
     frequency f survives with probability min(1, sqrt(threshold / f))."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    if len(tokens) == 0:
-        return tokens
-    discard = np.maximum(0.0, 1.0 - np.sqrt(threshold / frequencies))
-    keep = rng.random(len(tokens)) >= discard[tokens]
-    return tokens[keep]
+    discard = np.maximum(0.0, 1.0 - np.sqrt(threshold / frequencies[tokens]))
+    return tokens[rng.random(len(tokens)) >= discard]
 
 
 def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
@@ -147,16 +143,16 @@ def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
     the model's mode: the shifted target logit and the softmax normalizer
     (log p of the target is their `shifted - log(norm)`), the hidden vector
     h, the output error (one-hot target minus prediction, which is also the
-    bias gradient), and ascent gradients for the document vector and the
-    shared context direction (to be split equally among contributing
-    vectors).
+    bias gradient), and one ascent gradient: for the document vector, and
+    in pvdm also the shared context direction (to be split equally among
+    contributing vectors).
 
     h is the document vector in pvdbow and, in pvdm, the mean of the
     document vector and the context word vectors. The softmax runs in
     place on one V-vector; dividing by -norm gives -(e / norm) bit for
-    bit. In pvdm both gradients are one array, grad_h / (1 +
-    len(context_ids)). The reductions call the ufuncs' `reduce` directly,
-    which is what `.sum()` and `.max()` run.
+    bit. In pvdm the gradient is grad_h / (1 + len(context_ids)). The
+    reductions call the ufuncs' `reduce` directly, which is what `.sum()`
+    and `.max()` run.
     """
     U = model.U
     pvdm = model.config.mode == "pvdm"
@@ -175,10 +171,9 @@ def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
     e /= -norm
     e[target_id] += 1.0
     grad_h = U.T @ e
-    if not pvdm:
-        return shifted_target, norm, h, e, grad_h, np.zeros_like(grad_h)
-    grad_h *= 1.0 / (1 + len(context_ids))
-    return shifted_target, norm, h, e, grad_h, grad_h
+    if pvdm:
+        grad_h *= 1.0 / (1 + len(context_ids))
+    return shifted_target, norm, h, e, grad_h
 
 
 def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
@@ -193,10 +188,11 @@ def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
     product err_i h_j, as in `np.outer`, but a zero product may lose its
     sign.
     """
-    shifted, norm, h, err, grad_doc, grad_ctx = _step(
-        model, model.D[doc_index], context_ids, target_id)
+    shifted, norm, h, err, grad = _step(model, model.D[doc_index],
+                                        context_ids, target_id)
     gU = np.dot(err[:, None], h[None, :], out=out)
-    return float(shifted - np.log(norm)), gU, err, grad_doc, grad_ctx
+    grad_ctx = grad if model.config.mode == "pvdm" else np.zeros_like(grad)
+    return float(shifted - np.log(norm)), gU, err, grad, grad_ctx
 
 
 def _corpus_model_ids(corpus: Corpus, model: EmbeddingModel) -> list[np.ndarray]:
@@ -238,14 +234,11 @@ def _init_with_rng(corpus: Corpus, cfg: Doc2VecConfig,
 def _instances(model: EmbeddingModel, ids: np.ndarray, cfg: Doc2VecConfig,
                rng: np.random.Generator) -> list[tuple[list[int], int]]:
     """One epoch's (context ids, target id) pairs for one document of model
-    ids: `subsample`, then `build_windows`, then the id lookup. The window
+    ids: `subsample`, then `build_windows` on the surviving ids. The window
     and threshold come from `cfg`, the mode from the model. Training and
     fold-in both take their instances from here."""
     toks = subsample(ids, cfg.subsample, model.term_freq, rng).tolist()
-    if not toks:
-        return []
-    return [([toks[i] for i in ctx_pos], toks[center]) for ctx_pos, center
-            in build_windows(toks, cfg.window, model.config.mode, rng)]
+    return build_windows(toks, cfg.window, model.config.mode, rng) if toks else []
 
 
 def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
@@ -288,17 +281,16 @@ def avg_log_prob(model: EmbeddingModel, corpus: Corpus) -> float:
     mode = model.config.mode
     total = 0.0
     count = 0
-    for m, toks in enumerate(_corpus_model_ids(corpus, model)):
-        if len(toks) == 0:
+    for m, ids in enumerate(_corpus_model_ids(corpus, model)):
+        toks = ids.tolist()
+        if not toks:
             continue
         if mode == "pvdm":
             windows = build_windows(toks, model.config.window, mode)
         else:
-            windows = [((), i) for i in range(len(toks))]
-        for ctx_pos, center in windows:
-            ctx_ids = [int(toks[i]) for i in ctx_pos]
-            shifted, norm = _step(model, model.D[m], ctx_ids,
-                                  int(toks[center]))[:2]
+            windows = [([], t) for t in toks]
+        for ctx_ids, target in windows:
+            shifted, norm = _step(model, model.D[m], ctx_ids, target)[:2]
             total += float(shifted - np.log(norm))
             count += 1
     if count == 0:

@@ -79,8 +79,6 @@ def load_model(path, kind: str | None = None):
             meta = json.loads(str(npz["__meta__"]))
             arrays = {name: npz[name] for name in npz.files if name != "__meta__"}
     except (zipfile.BadZipFile, ValueError, EOFError, OSError, KeyError) as e:
-        if isinstance(e, ArchiveError):
-            raise
         raise CorruptArchiveError(f"{path}: unreadable archive ({e})") from e
 
     if meta.get("version") != ARCHIVE_VERSION:
@@ -365,6 +363,14 @@ def query_row(cfg: PipelineConfig, titles: list[str]) -> int:
     return cfg.knn_index
 
 
+def _check_perplexity(cfg: PipelineConfig, rows: int) -> None:
+    """Exact t-SNE needs more rows than [tsne] perplexity + 1."""
+    if rows <= cfg.tsne.perplexity + 1:
+        raise PipelineError(
+            f"[tsne] perplexity: {cfg.tsne.perplexity:g} needs more than "
+            f"{cfg.tsne.perplexity + 1:g} documents, got {rows}")
+
+
 def run_knn(cfg: PipelineConfig, features_path: str,
             out_name: str = "knn.tsv") -> str:
     features, titles = _load_features(cfg, features_path)
@@ -379,16 +385,19 @@ def run_knn(cfg: PipelineConfig, features_path: str,
 def run_tsne(cfg: PipelineConfig, features_path: str,
              out_name: str = "tsne.csv") -> np.ndarray:
     features, _ = _load_features(cfg, features_path)
+    _check_perplexity(cfg, features.shape[0])
     layout = tsne_mod.run(features, cfg.tsne)
     write_matrix_csv(_out(cfg, out_name), layout.Y)
     return layout.Y
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:
-    """All stages in order, on both feature sets. The KNN query is
-    resolved against the titles first, so a bad one fails before any
-    training."""
-    query_row(cfg, _load_titles(cfg))
+    """All stages in order, on both feature sets. The KNN query and the
+    t-SNE perplexity are checked against the titles first, so a bad one
+    fails before any training."""
+    titles = _load_titles(cfg)
+    query_row(cfg, titles)
+    _check_perplexity(cfg, len(titles))
     run_preprocess(cfg)
     run_lda_train(cfg)
     run_lda_topics(cfg)

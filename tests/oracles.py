@@ -3,9 +3,9 @@
 Everything here recomputes results from first principles (exact joint
 densities, exhaustive sorts, central finite differences) and deliberately
 shares no code with the implementations under test. The doc2vec references
-keep the plain per-instance step and update loop; `reference_train` takes
-its model initialization and instances from `topicvec.doc2vec`, so that it
-checks the step and the updates alone.
+keep the plain per-instance step and update loop and build their instances
+by positions; `reference_train` takes only its model initialization and
+the documents' model ids from `topicvec.doc2vec`.
 """
 
 import math
@@ -223,6 +223,30 @@ def init_model(corpus, cfg):
     return doc2vec._init_with_rng(corpus, cfg, np.random.default_rng(cfg.seed))
 
 
+def reference_instances(model, ids, cfg, rng):
+    """One epoch's (context ids, target id) pairs for one document of model
+    ids, built the plain way: thin frequent words with the discard table of
+    the whole vocabulary, window by positions, and look up each id. It
+    draws the same uniforms and target offsets from `rng` in the same order
+    as training and fold-in do."""
+    discard = np.maximum(0.0, 1.0 - np.sqrt(cfg.subsample / model.term_freq))
+    ids = np.asarray(ids, dtype=np.int64)
+    toks = ids[rng.random(len(ids)) >= discard[ids]]
+    n, w = len(toks), cfg.window
+    if n == 0:
+        return []
+    if model.config.mode == "pvdm":
+        windows = [(list(range(max(0, i - w), i))
+                    + list(range(i + 1, min(n, i + w + 1))), i)
+                   for i in range(n)]
+    else:
+        span = min(w, n)
+        windows = [([], i + int(rng.integers(span)))
+                   for i in range(n - span + 1)]
+    return [([int(toks[j]) for j in ctx], int(toks[center]))
+            for ctx, center in windows]
+
+
 def reference_train(corpus, cfg):
     """doc2vec training with `reference_step` and one update per parameter
     and per context word: the oracle for `doc2vec.train`."""
@@ -231,7 +255,7 @@ def reference_train(corpus, cfg):
     docs = doc2vec._corpus_model_ids(corpus, model)
     for alpha in doc2vec.epoch_schedule(cfg):
         for m, doc_ids in enumerate(docs):
-            for ctx_ids, target in doc2vec._instances(model, doc_ids, cfg, rng):
+            for ctx_ids, target in reference_instances(model, doc_ids, cfg, rng):
                 _, gU, gb, gdoc, gctx = reference_step(model, model.D[m],
                                                        ctx_ids, target)
                 model.U += alpha * gU

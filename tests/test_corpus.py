@@ -94,10 +94,15 @@ def test_ids_are_dense_and_inverse(docs):
 def test_doc_freq_recomputable_from_docs(docs):
     corp = corpus_from(docs)
     recomputed = np.zeros(corp.num_terms, dtype=np.int64)
+    recounted = np.zeros(corp.num_terms, dtype=np.int64)
     for doc in corp.docs:
         for t in set(doc.tokens.tolist()):
             recomputed[t] += 1
+        for t in doc.tokens.tolist():
+            recounted[t] += 1
     assert np.array_equal(recomputed, corp.vocab.doc_freq)
+    assert np.array_equal(recounted, corp.vocab.collection_freq)
+    assert corp.vocab.doc_freq.dtype == corp.vocab.collection_freq.dtype == np.int64
     assert np.all(corp.vocab.doc_freq >= 1)
     assert np.all(corp.vocab.doc_freq <= corp.num_docs)
 

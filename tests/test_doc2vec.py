@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (hidden_h, init_model, predict_distribution, reference_step,
-                     reference_train)
+from oracles import (hidden_h, init_model, predict_distribution,
+                     reference_instances, reference_step, reference_train)
 from topicvec import pipeline
 from topicvec.corpus import build_corpus, cosine_similarity, load_token_file
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
@@ -73,26 +73,39 @@ def unsigned_zeros(a):
 
 # ----------------------------------------------------------------- windows
 
+# each token is its own position, so the windows read as positions
+
 def test_pvdm_windows_center_every_position():
-    out = build_windows(SENTENCE, window=2, mode="pvdm")
+    out = build_windows(list(range(5)), window=2, mode="pvdm")
     assert [center for _, center in out] == list(range(5))
-    ctx, center = out[2]  # "negro": two words each side
-    assert ctx == (0, 1, 3, 4) and center == 2
+    ctx, center = out[2]  # two tokens each side
+    assert ctx == [0, 1, 3, 4] and center == 2
     ctx, _ = out[0]
-    assert ctx == (1, 2)  # truncated at the left edge
+    assert ctx == [1, 2]  # truncated at the left edge
 
 
 def test_pvdm_single_token_gives_empty_context():
-    assert build_windows(["solo"], window=3, mode="pvdm") == [((), 0)]
+    assert build_windows(list(range(1)), window=3, mode="pvdm") == [([], 0)]
 
 
 def test_pvdbow_targets_come_from_their_spans():
     rng = np.random.default_rng(0)
-    out = build_windows(SENTENCE, window=3, mode="pvdbow", rng=rng)
-    assert len(out) == len(SENTENCE) - 3 + 1  # one per contiguous 3-token span
+    out = build_windows(list(range(5)), window=3, mode="pvdbow", rng=rng)
+    assert len(out) == 5 - 3 + 1  # one per contiguous 3-token span
     for i, (ctx, target) in enumerate(out):
-        assert ctx == ()
+        assert ctx == []
         assert i <= target < i + 3
+
+
+def test_windows_hold_repeated_token_values_by_position():
+    toks = [7, 7, 3, 7, 3]
+    assert build_windows(toks, window=1, mode="pvdm") == [
+        ([7], 7), ([7, 3], 7), ([7, 7], 3), ([3, 3], 7), ([7], 3)]
+    # pvdbow draws the same target offsets whatever the token values
+    positions = build_windows(list(range(5)), 2, "pvdbow",
+                              np.random.default_rng(5))
+    values = build_windows(toks, 2, "pvdbow", np.random.default_rng(5))
+    assert values == [([], toks[center]) for _, center in positions]
 
 
 def test_pvdbow_requires_rng_and_rejects_empty_docs():
@@ -417,20 +430,16 @@ def test_inference_freezes_shared_parameters():
 
 def reference_infer_vector(model, doc_tokens, cfg):
     """Fold-in written as training restricted to one document: a fresh
-    vector stepped by the grad_doc of `reference_step` on the same
-    subsampled windows."""
+    vector stepped by the grad_doc of `reference_step` on the instances of
+    `reference_instances`."""
     ids = np.asarray([model.term_to_id[t] for t in doc_tokens
                       if t in model.term_to_id], dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)
     span = 0.5 / model.config.dim
     v = rng.uniform(-span, span, size=model.config.dim)
     for alpha in epoch_schedule(cfg):
-        toks = subsample(ids, cfg.subsample, model.term_freq, rng)
-        if len(toks) == 0:
-            continue
-        for ctx_pos, center in build_windows(toks, cfg.window, model.config.mode, rng):
-            ctx = [int(toks[i]) for i in ctx_pos]
-            v += alpha * reference_step(model, v, ctx, int(toks[center]))[3]
+        for ctx, target in reference_instances(model, ids, cfg, rng):
+            v += alpha * reference_step(model, v, ctx, target)[3]
     return v
 
 

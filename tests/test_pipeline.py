@@ -479,6 +479,22 @@ def test_cli_pipeline_checks_the_knn_query_before_preprocessing(tmp_path, capsys
     assert not (out / "corpus_filtered.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["pipeline", "tsne"])
+def test_cli_checks_the_perplexity_against_the_titles_first(tmp_path, capsys,
+                                                            command):
+    inputs, features = raw_fixture(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--out", str(out)]
+    if command == "tsne":
+        argv += ["--features", features]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "topicvec: error: [tsne] perplexity: 30 needs more than 31 "
+        "documents, got 3\n")
+    assert not (out / "corpus_filtered.txt").exists()
+    assert not (out / "tsne.csv").exists()
+
+
 @pytest.mark.parametrize("command,setting,address", [
     ("tsne", ["--perplexity", "nan"], "[tsne] perplexity"),
     ("tsne", ["--learning-rate", "inf"], "[tsne] learning_rate"),
