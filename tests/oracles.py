@@ -318,7 +318,9 @@ def knn_sort_oracle(matrix, q, metric):
 def reference_knn(matrix, query, k, metric):
     """The full-sort search: the oracle for `neighbors.knn`, bit for bit.
 
-    It computes the distances with the same arithmetic as `knn`, sorts all
+    It computes the distances with the same arithmetic as `knn` (the same
+    einsum reductions, so it checks the selection, not the distances;
+    `knn_oracle_distances` is the independent check of those), sorts all
     n of them stably (ties to the lower index) and scans that order in
     Python to drop the query row, which a row query puts at rank 0."""
     X = np.asarray(matrix, dtype=float)
@@ -327,10 +329,12 @@ def reference_knn(matrix, query, k, metric):
     else:
         qi, q = None, np.asarray(query, dtype=float)
     if metric == "cosine":
-        norms = np.linalg.norm(X, axis=1)
-        dists = 1.0 - (X * q).sum(axis=1) / (norms * np.linalg.norm(q))
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+        qn = np.sqrt(np.einsum("i,i->", q, q))
+        dists = 1.0 - np.einsum("ij,j->i", X, q) / (norms * qn)
     else:
-        dists = np.linalg.norm(X - q, axis=1)
+        D = X - q
+        dists = np.sqrt(np.einsum("ij,ij->i", D, D))
     dists = np.where(np.abs(dists) <= 1e-12, 0.0, dists)
     order = np.argsort(dists, kind="stable")
     if qi is not None:

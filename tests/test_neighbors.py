@@ -164,6 +164,72 @@ def test_paper_scale_matches_full_sort_reference(metric):
         assert got == reference_knn(X, query, 20, metric).entries
 
 
+def _all_distances(X, query, metric):
+    """knn's distance to every row, in row order."""
+    entries = knn(X, query, k=len(X), metric=metric).entries
+    return [d for _, d in sorted(entries)]
+
+
+def _assert_close_to_oracle(got, want, metric):
+    # 1e-12 absolute for cosine distances, which lie in [0, 2]; relative
+    # for Euclidean ones, whose scale follows the data
+    for a, b in zip(got, want, strict=True):
+        tol = 1e-12 if metric == "cosine" else 1e-12 * abs(b)
+        assert abs(a - b) <= tol, (a, b)
+
+
+@given(nonzero_matrices, st.integers(0, 49), st.sampled_from(["cosine", "euclidean"]))
+def test_distances_match_row_by_row_oracle(X, qi, metric):
+    qi = qi % X.shape[0]
+    for query, q in ((qi, X[qi]), (X[qi] + 0.5, X[qi] + 0.5)):
+        _assert_close_to_oracle(_all_distances(X, query, metric),
+                                knn_oracle_distances(X, q, metric), metric)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_paper_scale_distances_match_row_by_row_oracle(metric):
+    rng = np.random.default_rng(2520350)
+    X = rng.uniform(0.0, 1.0, size=(25203, 50))
+    for query in (17, rng.uniform(0.0, 1.0, size=50)):
+        q = X[query] if isinstance(query, int) else query
+        _assert_close_to_oracle(_all_distances(X, query, metric),
+                                knn_oracle_distances(X, q, metric), metric)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_repeated_rows_tie_at_d50_in_any_memory_layout(metric):
+    # the distance pass must give identical rows identical distances
+    # whatever the rows' alignment and strides, so the lower-index tie rule
+    # orders them; checked on a C-order matrix, its Fortran-order copy and
+    # a strided view of every other column
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        n = int(rng.integers(20, 120))
+        X = rng.uniform(0.1, 2.0, size=(n, 50))
+        dup = np.sort(rng.choice(n, size=n // 3, replace=False))
+        X[dup] = X[dup[0]]
+        dups = set(dup.tolist())
+        wide = np.empty((n, 100))
+        wide[:, ::2] = X
+        wide[:, 1::2] = rng.uniform(0.1, 2.0, size=(n, 50))
+        for M in (X, np.asfortranarray(X), wide[:, ::2]):
+            for query in (int(dup[-1]), rng.uniform(0.1, 2.0, size=50)):
+                entries = knn(M, query, k=n, metric=metric).entries
+                assert entries == reference_knn(M, query, n, metric).entries
+                assert len({d for i, d in entries if i in dups}) == 1
+                ranked = [i for i, _ in entries if i in dups]
+                if isinstance(query, int):  # the query row stays at rank 0
+                    ranked.remove(query)
+                assert ranked == sorted(ranked)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_overflowing_distance_is_a_value_error(metric):
+    X = np.array([[1e200, 1.0], [-1e200, 1.0]])
+    with pytest.raises(ValueError, match="overflows to a non-finite value"):
+        knn(X, 0, k=1, metric=metric)
+
+
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_single_row_matrix(metric):
     X = np.array([[1.0, 2.0]])
