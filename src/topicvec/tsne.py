@@ -12,11 +12,24 @@ the plain Gaussian kernel is available as an option. Optimization is
 plain gradient descent on the KL divergence with a two-stage momentum
 schedule and optional early exaggeration.
 
-Building P holds one n x n float64 matrix and a block of rows at a
-time: the Gram matrix of the features turns into their squared
-distances in place, each row of distances is overwritten by its
-conditional affinities, and those are symmetrized in place into P. The
-descent keeps P and three buffers of one row block each, about
+No n x n array is formed. P is kept as the row blocks of its upper
+triangle that the descent reads (below), in one contiguous buffer:
+about 4n^2 bytes for large n, 16.4 MiB at n = 2,000 and 2.4 GiB at n =
+25,203, where the full matrix takes 8n^2 (a P that fits one block, n <=
+362, is stored whole). `joint_affinities` builds it from the feature
+rows in two passes over row blocks. Pass 1 forms each block's squared
+distances to every point, calibrates its rows and keeps three numbers
+per row: 2 sigma^2, the largest logit and the normalizer. Pass 2 forms
+each triangle block's distances again and, with those numbers, both
+conditional affinities of each pair and their joint value. Under
+tracemalloc a whole `run` at n = 2,000 peaks at 0.65 n x n matrices
+while it builds P and again in the descent, against 1.07 and 1.11 when
+P was built and kept whole. Distances past the first block come from a
+gemm rather than the Gram matrix of all points, so a P that spans more
+than one block moved by round-off (7e-15 relative at n = 2,000); one
+that fits one block, as on the quick start, kept its bytes.
+
+The descent keeps P and three buffers of one row block each, about
 `_BLOCK_ENTRIES` entries. P and the kernel weights are symmetric, so
 each iteration forms every unordered pair once: it makes two passes
 over row blocks of the upper triangle of the pair matrix, block [s, e)
@@ -28,17 +41,19 @@ part right of its square, for the points it pairs them with. A pair
 right of the square stands for both of its orders, so it counts twice
 in Z and in sum p log q. Early exaggeration scales each block of P as
 it is read. The KL is the constant sum p log p, taken once, minus sum
-p log q. Both sums are einsum reductions over P's row blocks, read in
-place with no copy of P. A BLAS dot product of that size is split
+p log q. Both sums are einsum reductions over P's blocks, read in place
+with no copy of P. A BLAS dot product of that size is split
 across OpenBLAS threads: with it, the first run on the 200-document
 quick start in a fresh process took about 1 s instead of 0.1-0.2 s in 2
 of 24 processes (2 vCPUs), and 0 of 24 with einsum.
 
 `run` takes feature rows. Non-finite input raises ValueError before any
-work is done. A descent that diverges raises ValueError at the first
-iteration whose KL is not finite. The plain references these routines
-are checked against, including the masked KL, the dense Q and gradient,
-and the row entropy, live in the test suite (`tests/oracles.py`).
+work is done, and identical points before any row is calibrated. A
+descent that diverges raises ValueError at the first iteration whose
+KL is not finite. The plain references these routines are checked
+against, including the whole-matrix joint P, the masked KL, the dense Q
+and gradient, and the row entropy, live in the test suite
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -122,6 +137,18 @@ def squared_distances(X: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _distance_block(X, sq, s, e, c):
+    """Squared distances from the points s:e to the points c:n, for c <= s,
+    in the order of operations of `squared_distances`, with the self pairs
+    at exact zeros. sq holds the squared norms of the rows of X."""
+    D = X[s:e] @ X[c:].T
+    D *= -2.0
+    D += sq[s:e, None] + sq[None, c:]
+    np.maximum(D, 0.0, out=D)
+    D.ravel()[s - c::D.shape[1] + 1] = 0.0
+    return D
+
+
 def conditional_affinities(sq_row, sigma: float, self_index: int) -> np.ndarray:
     """One row of neighbor probabilities: exp(-d^2 / 2 sigma^2) over all
     other points, normalized to sum to 1, with the self entry fixed at 0."""
@@ -199,40 +226,28 @@ def calibrate_sigma(sq_row, perp: float, self_index: int,
     return math.exp(u)
 
 
-def symmetrize(p_conditional: np.ndarray) -> np.ndarray:
-    """Joint affinities (P + P^T) / 2n, floored at 1e-12 off the diagonal.
-
-    Consumes a float64 argument: the joint affinities are written over it,
-    one row block of the upper triangle and its transpose at a time.
-    """
-    P = np.asarray(p_conditional, dtype=float)
-    n = P.shape[0]
-    for s, e in _row_blocks(n):
-        S = P[s:e, s:] + P[s:, s:e].T
-        S /= 2.0 * n
-        np.maximum(S, _FLOOR, out=S)
-        P[s:e, s:] = S
-        P[s:, s:e] = S.T
-    np.fill_diagonal(P, 0.0)
-    return P
-
-
 def _row_blocks(n: int) -> list:
     rows = max(1, _BLOCK_ENTRIES // n)
     return [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
-def sum_p_log_p(P: np.ndarray) -> float:
-    """Sum of p_ij log p_ij over i != j, one row block at a time: the part
-    of the KL divergence that does not depend on the layout. Off the
-    diagonal, P must be positive."""
-    n = P.shape[0]
+def sum_p_log_p(P) -> float:
+    """Sum of p_ij log p_ij over i != j: the part of the KL divergence that
+    does not depend on the layout. P is packed as `joint_affinities`
+    returns it and must be positive off the diagonal. Each stored block
+    is logged once, in one buffer, and the part right of its square
+    counts twice, for its mirror image: about half the logarithms of a
+    pass over P's full rows."""
     total = 0.0
-    for s, e in _row_blocks(n):
-        L = P[s:e].copy()
-        L.ravel()[s::n + 1] = 1.0  # the self pairs (i, i) of rows s:e
+    buf = np.empty(max(Pb.size for Pb in P))
+    for Pb in P:
+        m, w = Pb.shape
+        L = buf[:Pb.size].reshape(m, w)
+        L[...] = Pb
+        L.ravel()[::w + 1] = 1.0  # the self pairs, log 1 = 0
         np.log(L, out=L)
-        total += float(np.einsum("ij,ij->", P[s:e], L))
+        total += (float(np.einsum("ij,ij->", Pb[:, :m], L[:, :m]))
+                  + 2.0 * float(np.einsum("ij,ij->", Pb[:, m:], L[:, m:])))
     return total
 
 
@@ -312,7 +327,7 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
     Y1 = np.column_stack([Y, np.ones(n)])  # G @ Y1 holds G @ Y and G's row sums
     R = None if exaggeration is None else np.zeros((n, 3))
     p_log_q = 0.0
-    for s, e in blocks:
+    for (s, e), Pb in zip(blocks, P):
         W, Q, G = views(s, e)
         m = e - s  # the square part is [:, :m], the right part [:, m:]
         if s:
@@ -323,7 +338,6 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
             np.divide(W, Z, out=Q)
         np.maximum(Q, _FLOOR, out=Q)
         self_pairs = Q.ravel()[::n - s + 1]  # a view
-        Pb = P[s:e, s:]
         if R is not None:
             self_pairs[:] = 0.0
             np.multiply(Pb, exaggeration, out=G)
@@ -332,9 +346,9 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
                 G *= W  # (p - q) / (1 + d^2)
             R[s:e] += G @ Y1[s:]
             R[e:] += G[:, m:].T @ Y1[s:e]
-        # the gradient is done with Q: take log Q in place and read P's
-        # square and right parts straight from its strided views, the
-        # right part counting twice (with one block, the whole matrix)
+        # the gradient is done with Q: take log Q in place and read the
+        # square and right parts of P's block as views, the right part
+        # counting twice (with one block, the whole matrix)
         self_pairs[:] = 1.0  # log 1 = 0
         np.log(Q, out=Q)
         p_log_q += (float(np.einsum("ij,ij->", Pb[:, :m], Q[:, :m]))
@@ -343,32 +357,90 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
     return p_log_p - p_log_q, grad
 
 
-def kl_and_gradient(P: np.ndarray, p_log_p: float, Y: np.ndarray, kernel: str,
+def kl_and_gradient(P: list, p_log_p: float, Y: np.ndarray, kernel: str,
                     exaggeration: float):
     """KL divergence of the layout Y and its gradient, as (kl, grad).
 
     The KL is taken against P and p_log_p = sum_p_log_p(P). The gradient
     is taken under exaggeration * P: the gradient of point i is 4 times
     the sum over j of (p_ij - q_ij)(y_i - y_j), divided by 1 + d_ij^2
-    under the Student-t kernel. Apart from P, no n x n array is formed.
+    under the Student-t kernel. No n x n array is formed.
 
-    P must be exactly symmetric, as `symmetrize` makes it: only its upper
-    triangle, P[i, j] with j >= i, is read.
+    P is packed as `joint_affinities` returns it: the row blocks of
+    `_triangle_blocks(n)`, block [s, e) holding P[s:e, s:], its square
+    part P[s:e, s:e] with both orders of each pair and exactly symmetric.
+    Only this upper triangle, P[i, j] with j >= i, is stored or read:
+    about 4n^2 bytes for large n, 16.4 MiB at n = 2,000.
     """
     return _kl_blocks(P, p_log_p, Y, kernel, exaggeration)
 
 
-def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
-    """Calibrate every row, conditionalize, and symmetrize.
+def joint_affinities(X: np.ndarray, perplexity: float) -> list:
+    """Joint affinities of the feature rows X, packed as the descent reads
+    them: a list of the row blocks of `_triangle_blocks(n)`, block [s, e)
+    an (e - s) x (n - s) array holding P[s:e, s:], all views into one
+    contiguous buffer. No n x n array is formed.
 
-    Consumes a float64 argument: each row of sq_dists is overwritten with
-    its conditional affinities, once that row's calibration has read it.
+    Pass 1 walks the row blocks of `_row_blocks(n)`, forms each block's
+    squared distances to every point (`_distance_block`), calibrates
+    each row with `calibrate_sigma` and keeps, per row, only 2 sigma^2,
+    its largest logit and the normalizer of its conditional affinities.
+    Pass 2 forms each triangle block's distances again and, with those
+    numbers and the arithmetic of `conditional_affinities`, p_j|i and
+    p_i|j, and stores (p_j|i + p_i|j) / 2n floored at 1e-12, with the
+    self pairs at 0; the square part of each block takes its distances
+    from its upper triangle, so P is exactly symmetric. Identical points
+    (no squared distance above 0) raise ValueError before any row is
+    calibrated.
     """
-    P_cond = np.asarray(sq_dists, dtype=float)
-    for i in range(P_cond.shape[0]):
-        sigma = calibrate_sigma(P_cond[i], perplexity, i)
-        P_cond[i] = conditional_affinities(P_cond[i], sigma, i)
-    return symmetrize(P_cond)
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    sq = np.sum(X * X, axis=1)
+    rows = np.empty((3, n))  # per row: 2 sigma^2, largest logit, normalizer
+    scale, top, norm = rows
+    blocks = _row_blocks(n)
+    for s, e in blocks:
+        D = _distance_block(X, sq, s, e, 0)
+        # all distances are 0 only if the first block's are
+        if s == 0 and D.max() == 0.0 and all(
+                _distance_block(X, sq, a, b, 0).max() == 0.0
+                for a, b in blocks[1:]):
+            raise ValueError("degenerate input: all points are identical")
+        for i in range(s, e):
+            sigma = calibrate_sigma(D[i - s], perplexity, i)
+            scale[i] = 2.0 * sigma * sigma
+        np.divide(D, -scale[s:e, None], out=D)  # the logits, in place
+        D.ravel()[s::n + 1] = -np.inf
+        top[s:e] = D.max(axis=1)
+        D -= top[s:e, None]
+        np.exp(D, out=D)
+        norm[s:e] = D.sum(axis=1)
+    triangle = _triangle_blocks(n)
+    buf = np.empty(sum((e - s) * (n - s) for s, e in triangle))
+    P, at = [], 0
+    for s, e in triangle:
+        Pb = buf[at:at + (e - s) * (n - s)].reshape(e - s, n - s)
+        at += Pb.size
+        D = _distance_block(X, sq, s, e, s)
+        # a gemm need not round d_ij and d_ji alike: mirror the upper
+        # triangle of the square part, so that P is exactly symmetric
+        square, lower = D[:, :e - s], np.tril_indices(e - s, -1)
+        square[lower] = square.T[lower]
+        # p_j|i into Pb with the numbers of the rows s:e, then p_i|j over D
+        # with those of the columns s:n; self pairs on the diagonal
+        for out, cut in ((Pb, np.s_[:, s:e, None]), (D, np.s_[:, None, s:])):
+            scale, top, norm = rows[cut]
+            np.divide(D, -scale, out=out)
+            out.ravel()[::n - s + 1] = -np.inf
+            out -= top
+            np.exp(out, out=out)
+            out /= norm
+        Pb += D
+        Pb /= 2.0 * n
+        np.maximum(Pb, _FLOOR, out=Pb)
+        Pb.ravel()[::n - s + 1] = 0.0
+        P.append(Pb)
+    return P
 
 
 def run(X, cfg: TsneConfig) -> TsneLayout:
@@ -383,15 +455,11 @@ def run(X, cfg: TsneConfig) -> TsneLayout:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite (found NaN or infinity)")
-    d2 = squared_distances(X)
-    n = d2.shape[0]
+    n = X.shape[0]
     if n <= cfg.perplexity + 1:
         raise ValueError("need more points than perplexity + 1")
-    if d2.max() == 0.0:
-        raise ValueError("degenerate input: all points are identical")
-
-    P = joint_affinities(d2, cfg.perplexity)
-    del X, d2  # the descent needs only P
+    P = joint_affinities(X, cfg.perplexity)  # raises on identical points
+    del X  # the descent needs only P
     p_log_p = sum_p_log_p(P)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-2, size=(n, 2))

@@ -5,14 +5,16 @@ densities, exhaustive sorts, central finite differences) and deliberately
 shares no code with the implementations under test. The doc2vec references
 keep the plain per-instance step and update loop and build their instances
 by positions; `reference_train` takes only its model initialization and
-the documents' model ids from `topicvec.doc2vec`.
+the documents' model ids from `topicvec.doc2vec`. `packed_joint` takes
+only the block layout of packed P, `_triangle_blocks`, from
+`topicvec.tsne`.
 """
 
 import math
 
 import numpy as np
 
-from topicvec import doc2vec
+from topicvec import doc2vec, tsne
 from topicvec.autoencoder import loss
 from topicvec.lda import LdaState
 from topicvec.neighbors import NeighborList
@@ -363,6 +365,53 @@ def _reference_conditional(sq_row, sigma, self_index):
     return p / p.sum()
 
 
+def reference_symmetrize(P_cond):
+    """Joint affinities from the conditional ones, whole-matrix: (P + P^T)
+    / 2n, floored at 1e-12, with the diagonal at 0."""
+    n = P_cond.shape[0]
+    P = np.maximum((P_cond + P_cond.T) / (2.0 * n), 1e-12)
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+def reference_joint_affinities(X, perp, calibrate):
+    """The dense n x n joint P of the feature rows X: the oracle for
+    `tsne.joint_affinities`. Each row's bandwidth comes from
+    `calibrate(sq_row, perp, self_index)`."""
+    d2 = reference_squared_distances(np.asarray(X, dtype=float))
+    n = d2.shape[0]
+    P_cond = np.zeros((n, n))
+    for i in range(n):
+        sigma = calibrate(d2[i], perp, i)
+        P_cond[i] = _reference_conditional(d2[i], sigma, i)
+    return reference_symmetrize(P_cond)
+
+
+def dense_joint(P, n):
+    """The n x n matrix of a joint P packed as `tsne.joint_affinities`
+    returns it: block k holds the rows s:s + m and the columns s:n, where
+    s is the number of rows before it; its part right of the square is
+    mirrored below the diagonal."""
+    dense = np.zeros((n, n))
+    s = 0
+    for block in P:
+        m = block.shape[0]
+        assert block.shape == (m, n - s)
+        dense[s:s + m, s:] = block
+        dense[s + m:, s:s + m] = block[:, m:].T
+        s += m
+    assert s == n
+    return dense
+
+
+def packed_joint(P):
+    """A dense symmetric P cut into the upper-triangle row blocks of
+    `tsne._triangle_blocks`, each a contiguous copy: the layout
+    `tsne.kl_and_gradient` and `tsne.sum_p_log_p` read."""
+    return [np.ascontiguousarray(P[s:e, s:])
+            for s, e in tsne._triangle_blocks(P.shape[0])]
+
+
 def reference_entropy_bits(p_row):
     nz = p_row[p_row > 0]
     return float(np.log2(2.0 ** (-np.sum(nz * np.log2(nz)))))
@@ -443,20 +492,12 @@ def reference_gradient(P, Y, kernel):
 def reference_tsne_run(X, cfg, calibrate=reference_calibrate_sigma):
     """Exact t-SNE written plainly: the oracle for `tsne.run`.
 
-    Each row's bandwidth comes from `calibrate(sq_row, perp, self_index)`.
-    Each iteration takes the gradient from `reference_gradient` and the
+    P comes from `reference_joint_affinities` with `calibrate`. Each
+    iteration takes the gradient from `reference_gradient` and the
     KL with boolean masks. Returns (Y, kl_trace).
     """
-    X = np.asarray(X, dtype=float)
-    d2 = reference_squared_distances(X)
-    n = d2.shape[0]
-    P_cond = np.zeros((n, n))
-    for i in range(n):
-        sigma = calibrate(d2[i], cfg.perplexity, i)
-        P_cond[i] = _reference_conditional(d2[i], sigma, i)
-    P = np.maximum((P_cond + P_cond.T) / (2.0 * n), 1e-12)
-    np.fill_diagonal(P, 0.0)
-
+    P = reference_joint_affinities(X, cfg.perplexity, calibrate)
+    n = P.shape[0]
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-2, size=(n, 2))
     Y_prev = Y.copy()

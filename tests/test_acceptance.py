@@ -14,8 +14,8 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from oracles import (exclude_token, finite_difference_net_grads, init_model,
-                     knn_sort_oracle, max_rel_err, oracle_conditional,
+from oracles import (dense_joint, exclude_token, finite_difference_net_grads,
+                     init_model, knn_sort_oracle, max_rel_err, oracle_conditional,
                      random_micro_instance, reference_entropy_bits, reference_kl,
                      reference_q, state_from)
 from topicvec import cli
@@ -273,9 +273,10 @@ def test_criterion_8_tsne_calibration_and_descent():
             assert abs(bits - math.log2(12.0)) < 1e-5
 
         Y = rng.normal(size=(6, 2))
-        P = joint_affinities(squared_distances(rng.normal(size=(6, 4))), 2.5)
+        packed = joint_affinities(rng.normal(size=(6, 4)), 2.5)
+        P = dense_joint(packed, 6)
         for kernel in ("student_t", "gaussian"):
-            grad = kl_and_gradient(P, sum_p_log_p(P), Y, kernel, 1.0)[1]
+            grad = kl_and_gradient(packed, sum_p_log_p(packed), Y, kernel, 1.0)[1]
             worst = 0.0
             for idx in np.ndindex(Y.shape):
                 orig = Y[idx]

@@ -4,14 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (reference_calibrate_sigma, reference_entropy_bits,
-                     reference_gradient, reference_kl, reference_q,
-                     reference_squared_distances, reference_tsne_run)
+from oracles import (dense_joint, packed_joint, reference_calibrate_sigma,
+                     reference_entropy_bits, reference_gradient,
+                     reference_joint_affinities, reference_kl, reference_q,
+                     reference_squared_distances, reference_symmetrize,
+                     reference_tsne_run)
 
 from topicvec import tsne
 from topicvec.tsne import (TsneConfig, calibrate_sigma, conditional_affinities,
                            joint_affinities, kl_and_gradient, run,
-                           squared_distances, sum_p_log_p, symmetrize)
+                           squared_distances, sum_p_log_p)
 
 
 def awkward_data(n, seed, dups=0, simplex=0):
@@ -226,7 +228,7 @@ def test_rows_without_a_root_get_their_limit_rows():
 def test_symmetrize_properties():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(12, 3))
-    P = joint_affinities(squared_distances(X), perplexity=5.0)
+    P = dense_joint(joint_affinities(X, perplexity=5.0), 12)
     assert np.array_equal(P, P.T)
     assert P.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diag(P) == 0.0)
@@ -237,11 +239,30 @@ def test_symmetrize_three_point_hand_example():
     cond = np.array([[0.0, 0.7, 0.3],
                      [0.2, 0.0, 0.8],
                      [0.5, 0.5, 0.0]])
-    P = symmetrize(cond)
+    P = reference_symmetrize(cond)
     assert P[0, 1] == pytest.approx((0.7 + 0.2) / 6.0, abs=1e-15)
     assert P[0, 2] == pytest.approx((0.3 + 0.5) / 6.0, abs=1e-15)
     assert P[1, 2] == pytest.approx((0.8 + 0.5) / 6.0, abs=1e-15)
     assert P.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_packed_p_matches_reference(X, perp):
+    """Every stored block of joint_affinities(X, perp) lies within 1e-12
+    relative of the same rows and columns of the whole-matrix reference P
+    (whose bandwidths also come from calibrate_sigma), and equals them bit
+    for bit when the points fit one block."""
+    n = len(X)
+    P = joint_affinities(X, perp)
+    want = reference_joint_affinities(X, perp, calibrate_sigma)
+    blocks = tsne._triangle_blocks(n)
+    assert [Pb.shape for Pb in P] == [(e - s, n - s) for s, e in blocks]
+    for (s, e), Pb in zip(blocks, P):
+        ref = want[s:e, s:]
+        assert np.all(np.abs(Pb - ref) <= 1e-12 * ref)
+        if len(tsne._row_blocks(n)) == len(blocks) == 1:
+            assert np.array_equal(Pb, ref)
+    dense = dense_joint(P, n)
+    assert np.array_equal(dense, dense.T)
 
 
 @pytest.mark.parametrize("n", [5, 22, 300])
@@ -251,13 +272,19 @@ def test_blocked_p_building_matches_whole_matrix_formulas(monkeypatch, n):
     rng = np.random.default_rng(n)
     X = rng.normal(scale=10.0, size=(n, 6))
     assert np.array_equal(squared_distances(X), reference_squared_distances(X))
-    cond = rng.random((n, n))
-    want = np.maximum((cond + cond.T) / (2.0 * n), 1e-12)
-    np.fill_diagonal(want, 0.0)
-    assert np.array_equal(symmetrize(cond), want)
+    assert_packed_p_matches_reference(X, min(20.0, n / 4))
+
+
+def test_packed_p_matches_whole_matrix_reference_at_block_edges():
+    # well under one block and exactly one block are bit for bit
+    for n in block_edge_sizes():
+        X = np.random.default_rng(n).normal(size=(n, 4))
+        assert_packed_p_matches_reference(X, 5.0)
 
 
 def kl_and_grad(P, Y, kernel):
+    """KL and gradient against a dense P, packed as joint_affinities packs it."""
+    P = packed_joint(P)
     return kl_and_gradient(P, sum_p_log_p(P), Y, kernel, 1.0)
 
 
@@ -281,7 +308,7 @@ def test_q_symmetric_and_normalized(kernel):
     assert kl_and_grad(reference_q(Y, kernel), Y, kernel)[0] == pytest.approx(
         0.0, abs=1e-12)
     # symmetric: the pair forces cancel, so the gradient sums to zero
-    P = joint_affinities(squared_distances(rng.normal(size=(9, 4))), 3.0)
+    P = dense_joint(joint_affinities(rng.normal(size=(9, 4)), 3.0), 9)
     grad = kl_and_grad(P, Y, kernel)[1]
     assert np.allclose(grad.sum(axis=0), 0.0, atol=1e-12 * np.abs(grad).max())
 
@@ -351,13 +378,15 @@ def test_triangle_blocks_tile_the_upper_triangle_once(monkeypatch, budget):
 def test_gradient_matches_reference_per_call(kernel):
     for n in block_edge_sizes():
         rng = np.random.default_rng(n)
-        P = joint_affinities(squared_distances(rng.normal(size=(n, 4))), 5.0)
-        p_log_p = sum_p_log_p(P)
+        packed = joint_affinities(rng.normal(size=(n, 4)), 5.0)
+        P = dense_joint(packed, n)
+        p_log_p = sum_p_log_p(packed)
         for scale in (1e-2, 1.0, 10.0):
             Y = scale * rng.normal(size=(n, 2))
             want_kl = reference_kl(P, reference_q(Y, kernel))
             for exaggeration in (1.0, 4.0):  # plain and early-exaggerated
-                kl, grad = kl_and_gradient(P, p_log_p, Y, kernel, exaggeration)
+                kl, grad = kl_and_gradient(packed, p_log_p, Y, kernel,
+                                           exaggeration)
                 want = reference_gradient(exaggeration * P, Y, kernel)
                 assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
                 assert abs(kl - want_kl) <= 1e-12 * abs(want_kl)
@@ -367,7 +396,7 @@ def test_gradient_matches_reference_per_call(kernel):
 def test_gradient_matches_finite_differences(kernel):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(6, 4))
-    P = joint_affinities(squared_distances(X), perplexity=3.0)
+    P = dense_joint(joint_affinities(X, perplexity=3.0), 6)
     Y = rng.normal(size=(6, 2))
     grad = kl_and_grad(P, Y, kernel)[1]
     eps = 1e-5
@@ -483,10 +512,10 @@ def test_gaussian_divergence_stops_at_first_non_finite_kl(rate, diverges_at):
         run(X, cfg)
 
 
-def test_run_peak_memory_stays_below_one_and_a_half_matrices(monkeypatch):
-    # building P holds one n x n matrix and row blocks; so does the descent,
-    # from the call to sum_p_log_p on
-    n = 1200
+def test_run_peak_memory_stays_below_three_quarters_of_a_matrix(monkeypatch):
+    # building P holds its packed upper triangle and row blocks; so does the
+    # descent, from the call to sum_p_log_p on. No n x n array is formed.
+    n = 2000
     matrix = n * n * 8
     X = np.random.default_rng(16).normal(size=(n, 10))
     cfg = TsneConfig(perplexity=30, iterations=3, exaggeration_iters=1)
@@ -505,8 +534,8 @@ def test_run_peak_memory_stays_below_one_and_a_half_matrices(monkeypatch):
     finally:
         tracemalloc.stop()
     building, descent = peaks
-    assert building < 1.5 * matrix
-    assert descent < 1.5 * matrix
+    assert building < 0.75 * matrix
+    assert descent < 0.75 * matrix
 
 
 def test_monotone_descent_without_momentum():
@@ -536,8 +565,8 @@ def test_rigid_rotation_leaves_layout_unchanged():
     R90 = np.eye(4)
     R90[0, 0] = R90[1, 1] = 0.0
     R90[0, 1], R90[1, 0] = 1.0, -1.0
-    P1 = joint_affinities(squared_distances(X), cfg.perplexity)
-    P2 = joint_affinities(squared_distances(X @ R90), cfg.perplexity)
+    P1 = dense_joint(joint_affinities(X, cfg.perplexity), 30)
+    P2 = dense_joint(joint_affinities(X @ R90, cfg.perplexity), 30)
     assert np.allclose(P1, P2, rtol=1e-9, atol=1e-15)
 
 
