@@ -4,8 +4,8 @@ compared by brute-force cosine KNN and mapped to 2-D with exact t-SNE."""
 __version__ = "0.1.0"
 
 from .corpus import (BagOfWords, Corpus, PreprocessConfig, TokenizedDocument,
-                     Vocabulary, build_corpus, cosine_similarity,
-                     filter_vocabulary, preprocess_document)
+                     Vocabulary, build_corpus, filter_vocabulary,
+                     preprocess_document)
 from .lda import (GeneratorConfig, LdaConfig, LdaModel, LdaState,
                   generate_corpus, infer_theta, top_words)
 from .lda import train as train_lda

@@ -1,5 +1,5 @@
-"""Tokenized corpora: preprocessing, vocabulary indexing, TF-IDF pruning,
-and the cosine similarity primitive shared by the downstream models."""
+"""Tokenized corpora: preprocessing, vocabulary indexing and TF-IDF
+pruning."""
 
 from __future__ import annotations
 
@@ -153,17 +153,17 @@ def filter_vocabulary(corpus: Corpus, keep_top_n: int, aggregate: str = "max") -
     """Keep the highest-scoring keep_top_n terms and re-index the corpus.
 
     Ties at the cutoff are broken by lexicographic term order so the result
-    is deterministic.
+    is deterministic. A corpus with at most keep_top_n terms is returned
+    as it is.
     """
     if keep_top_n < 1:
         raise ValueError("keep_top_n must be >= 1")
     if corpus.num_terms <= keep_top_n:
-        keep = set(range(corpus.num_terms))
-    else:
-        scores = term_scores(corpus, aggregate)
-        order = sorted(range(corpus.num_terms),
-                       key=lambda t: (-scores[t], corpus.vocab.id_to_term[t]))
-        keep = set(order[:keep_top_n])
+        return corpus
+    scores = term_scores(corpus, aggregate)
+    order = sorted(range(corpus.num_terms),
+                   key=lambda t: (-scores[t], corpus.vocab.id_to_term[t]))
+    keep = set(order[:keep_top_n])
 
     terms = corpus.vocab.id_to_term
     docs = []
@@ -172,19 +172,6 @@ def filter_vocabulary(corpus: Corpus, keep_top_n: int, aggregate: str = "max") -
         docs.append([terms[t] for t in doc.tokens if int(t) in keep])
         labels.append(doc.label)
     return build_corpus(docs, labels)
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two nonzero vectors of equal length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("vectors must have the same length")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero vectors")
-    return float(np.dot(a, b) / (na * nb))
 
 
 def load_token_file(path) -> list[list[str]]:

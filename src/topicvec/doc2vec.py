@@ -22,9 +22,7 @@ plain step and update loop in the test suite (`tests/oracles.py`),
 which forms the U gradient with `np.outer`. The product may drop the
 sign of a zero entry where `np.outer` keeps it; U cannot see that,
 since it starts at +0.0 and an IEEE sum is -0.0 only when both terms
-are, so D, W, U and b keep their bytes. In-process, a training instance
-took 25 µs at V = 194, dim 16 (the mini corpus) and 31-35 µs at V =
-400-514.
+are, so D, W, U and b keep their bytes.
 """
 
 from __future__ import annotations

@@ -168,13 +168,6 @@ def init_state(corpus: Corpus, cfg: LdaConfig, rng: np.random.Generator) -> LdaS
     return LdaState(docs, z, n_kt, n_mk, n_kt.sum(axis=1), n_mk.sum(axis=1))
 
 
-def _conditional(state: LdaState, m: int, t: int,
-                 alpha: np.ndarray, beta_t: float, beta_sum: float) -> np.ndarray:
-    # counts must already exclude the token being resampled
-    p = (state.n_kt[:, t] + beta_t) / (state.n_k + beta_sum) * (state.n_mk[m] + alpha)
-    return p / p.sum()
-
-
 def full_conditional(state: LdaState, m: int, n: int, cfg: LdaConfig) -> np.ndarray:
     """Resampling distribution over topics for token n of document m.
 
@@ -185,7 +178,9 @@ def full_conditional(state: LdaState, m: int, n: int, cfg: LdaConfig) -> np.ndar
     alpha = cfg.alpha_vec()
     beta = cfg.beta_vec(state.n_kt.shape[1])
     t = int(state.docs[m][n])
-    return _conditional(state, m, t, alpha, float(beta[t]), float(beta.sum()))
+    p = ((state.n_kt[:, t] + float(beta[t])) / (state.n_k + float(beta.sum()))
+         * (state.n_mk[m] + alpha))
+    return p / p.sum()
 
 
 def gibbs_sweep(state: LdaState, cfg: LdaConfig, rng: np.random.Generator) -> LdaState:

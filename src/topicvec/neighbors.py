@@ -14,12 +14,9 @@ since `knn` keeps nothing between calls, and the products with the query;
 under Euclidean the norms of the rows of X - q. None goes through BLAS,
 whose matrix-vector product can round identical rows differently and so
 break the lower-index tie rule; the tests check identical rows in C
-order, in Fortran order and in a strided view. Against the former
-`np.linalg.norm` and `(X * q).sum(axis=1)` pass, which formed an n x d
-product before each short-row sum, a row query on the 1,000 x 50
-`topics-k50` mixtures took 80 µs instead of 158 µs, and a cosine query
-on a 25,203 x 50 matrix 1.14 ms instead of 4.46 ms (one process, 2
-vCPUs).
+order, in Fortran order and in a strided view. Nor does any form an
+n x d product before its short row sums, as `np.linalg.norm` and
+`(X * q).sum(axis=1)` would.
 """
 
 from __future__ import annotations
@@ -45,7 +42,9 @@ def knn(matrix, query, k: int = 20, metric: str = "cosine") -> NeighborList:
     so the list has k+1 entries) or a feature vector (k entries). Cosine
     distance is 1 minus the cosine similarity; ties are broken by lower
     row index. Distances within 1e-12 of zero are snapped to exactly 0.
-    A non-finite matrix row or query vector raises ValueError.
+    A non-finite matrix row or query vector raises ValueError, and so,
+    under cosine, does a zero query vector or matrix row; the message
+    names the query vector or the first such row.
 
     The rows are not all sorted. With m the number of rows the query can
     list (k + 1 or k, at most n), every row whose distance is at most the
@@ -81,8 +80,12 @@ def knn(matrix, query, k: int = 20, metric: str = "cosine") -> NeighborList:
         if metric == "cosine":
             norms = np.sqrt(np.einsum("ij,ij->i", X, X))
             qn = np.sqrt(np.einsum("i,i->", q, q))
-            if qn == 0.0 or np.any(norms == 0.0):
-                raise ValueError("cosine distance is undefined for zero vectors")
+            if qi is None and qn == 0.0:
+                raise ValueError("query vector is zero: cosine distance is "
+                                 "undefined")
+            if not norms.all():
+                raise ValueError(f"matrix row {np.flatnonzero(norms == 0.0)[0]} "
+                                 f"is zero: cosine distance is undefined")
             dists = 1.0 - np.einsum("ij,j->i", X, q) / (norms * qn)
         else:
             D = X - q

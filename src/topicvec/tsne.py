@@ -23,11 +23,10 @@ per row: 2 sigma^2, the largest logit and the normalizer. Pass 2 forms
 each triangle block's distances again and, with those numbers, both
 conditional affinities of each pair and their joint value. Under
 tracemalloc a whole `run` at n = 2,000 peaks at 0.65 n x n matrices
-while it builds P and again in the descent, against 1.07 and 1.11 when
-P was built and kept whole. Distances past the first block come from a
-gemm rather than the Gram matrix of all points, so a P that spans more
-than one block moved by round-off (7e-15 relative at n = 2,000); one
-that fits one block, as on the quick start, kept its bytes.
+while it builds P and again in the descent. Each block's distances
+come from its own matrix product, which can round them apart from the
+Gram matrix of all points; a P that fits one block keeps the
+whole-matrix arithmetic.
 
 The descent keeps P and three buffers of one row block each, about
 `_BLOCK_ENTRIES` entries. P and the kernel weights are symmetric, so
@@ -42,10 +41,10 @@ right of the square stands for both of its orders, so it counts twice
 in Z and in sum p log q. Early exaggeration scales each block of P as
 it is read. The KL is the constant sum p log p, taken once, minus sum
 p log q. Both sums are einsum reductions over P's blocks, read in place
-with no copy of P. A BLAS dot product of that size is split
-across OpenBLAS threads: with it, the first run on the 200-document
-quick start in a fresh process took about 1 s instead of 0.1-0.2 s in 2
-of 24 processes (2 vCPUs), and 0 of 24 with einsum.
+with no copy of P. They are not BLAS dot products: OpenBLAS splits a
+dot product of that size across its threads, and starting those
+threads can make the first run in a fresh process several times as
+slow.
 
 `run` takes feature rows. Non-finite input raises ValueError before any
 work is done, and identical points before any row is calibrated. A
@@ -122,43 +121,16 @@ class TsneLayout:
     kl_trace: np.ndarray  # KL after each iteration
 
 
-def squared_distances(X: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, exact zeros on the diagonal."""
-    X = np.asarray(X, dtype=float)
-    sq = np.sum(X * X, axis=1)
-    # one n x n array: the Gram matrix, turned into the distances in place,
-    # bit for bit (sq_i + sq_j) - 2 g_ij
-    d2 = X @ X.T
-    d2 *= -2.0
-    for s, e in _row_blocks(len(sq)):
-        d2[s:e] += sq[s:e, None] + sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def _distance_block(X, sq, s, e, c):
-    """Squared distances from the points s:e to the points c:n, for c <= s,
-    in the order of operations of `squared_distances`, with the self pairs
-    at exact zeros. sq holds the squared norms of the rows of X."""
+    """Squared distances from the points s:e to the points c:n, for c <= s:
+    -2 x_i . x_j + (sq_i + sq_j), clipped at 0, with the self pairs at
+    exact zeros. sq holds the squared norms of the rows of X."""
     D = X[s:e] @ X[c:].T
     D *= -2.0
     D += sq[s:e, None] + sq[None, c:]
     np.maximum(D, 0.0, out=D)
     D.ravel()[s - c::D.shape[1] + 1] = 0.0
     return D
-
-
-def conditional_affinities(sq_row, sigma: float, self_index: int) -> np.ndarray:
-    """One row of neighbor probabilities: exp(-d^2 / 2 sigma^2) over all
-    other points, normalized to sum to 1, with the self entry fixed at 0."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    logits = -np.asarray(sq_row, dtype=float) / (2.0 * sigma * sigma)
-    logits[self_index] = -np.inf
-    logits -= logits.max()  # shift for stable exponentials
-    p = np.exp(logits)
-    return p / p.sum()
 
 
 def calibrate_sigma(sq_row, perp: float, self_index: int,
@@ -169,8 +141,8 @@ def calibrate_sigma(sq_row, perp: float, self_index: int,
     With beta = 1 / 2 sigma^2, the squared distances d to the other points
     shifted so the nearest is 0 and w = exp(-beta d), one product of w
     with the rows 1, d and d^2 gives the entropy H = (log(sum w) + beta
-    sum(w d) / sum(w)) / ln 2, equal to the entropy of
-    `conditional_affinities` up to rounding, and its slope in u = log
+    sum(w d) / sum(w)) / ln 2, equal up to rounding to the entropy of the
+    neighbor probabilities w / sum(w), and its slope in u = log
     sigma, 2 beta^2 Var_w(d) / ln 2. Newton steps in u start where sigma^2
     is the ceil(perp)-th nearest distance over e^2 and are clamped to 2.
     The loop keeps a bracket of u, from [-45, 45], on the points it has
@@ -241,14 +213,22 @@ def sum_p_log_p(P) -> float:
     total = 0.0
     buf = np.empty(max(Pb.size for Pb in P))
     for Pb in P:
-        m, w = Pb.shape
-        L = buf[:Pb.size].reshape(m, w)
+        L = buf[:Pb.size].reshape(Pb.shape)
         L[...] = Pb
-        L.ravel()[::w + 1] = 1.0  # the self pairs, log 1 = 0
-        np.log(L, out=L)
-        total += (float(np.einsum("ij,ij->", Pb[:, :m], L[:, :m]))
-                  + 2.0 * float(np.einsum("ij,ij->", Pb[:, m:], L[:, m:])))
+        total += _block_sum_p_log(Pb, L)
     return total
+
+
+def _block_sum_p_log(Pb, L):
+    """Sum of p log l over the pairs of one packed block of P, with L an
+    array of the block's shape that is logged in place: its self pairs
+    are set to 1 (log 1 = 0) first, and the part right of the square
+    counts twice, for its mirror image."""
+    m, w = Pb.shape
+    L.ravel()[::w + 1] = 1.0
+    np.log(L, out=L)
+    return (float(np.einsum("ij,ij->", Pb[:, :m], L[:, :m]))
+            + 2.0 * float(np.einsum("ij,ij->", Pb[:, m:], L[:, m:])))
 
 
 def _pair_factors(Y, kernel):
@@ -337,22 +317,17 @@ def _kl_blocks(P, p_log_p, Y, kernel, exaggeration):
         with np.errstate(invalid="ignore"):
             np.divide(W, Z, out=Q)
         np.maximum(Q, _FLOOR, out=Q)
-        self_pairs = Q.ravel()[::n - s + 1]  # a view
         if R is not None:
-            self_pairs[:] = 0.0
+            Q.ravel()[::n - s + 1] = 0.0  # the self pairs
             np.multiply(Pb, exaggeration, out=G)
             G -= Q
             if kernel == "student_t":
                 G *= W  # (p - q) / (1 + d^2)
             R[s:e] += G @ Y1[s:]
             R[e:] += G[:, m:].T @ Y1[s:e]
-        # the gradient is done with Q: take log Q in place and read the
-        # square and right parts of P's block as views, the right part
-        # counting twice (with one block, the whole matrix)
-        self_pairs[:] = 1.0  # log 1 = 0
-        np.log(Q, out=Q)
-        p_log_q += (float(np.einsum("ij,ij->", Pb[:, :m], Q[:, :m]))
-                    + 2.0 * float(np.einsum("ij,ij->", Pb[:, m:], Q[:, m:])))
+        # the gradient is done with Q: take log Q in place (with one block,
+        # the whole matrix)
+        p_log_q += _block_sum_p_log(Pb, Q)
     grad = None if R is None else 4.0 * (R[:, 2:] * Y - R[:, :2])
     return p_log_p - p_log_q, grad
 
@@ -386,12 +361,12 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> list:
     each row with `calibrate_sigma` and keeps, per row, only 2 sigma^2,
     its largest logit and the normalizer of its conditional affinities.
     Pass 2 forms each triangle block's distances again and, with those
-    numbers and the arithmetic of `conditional_affinities`, p_j|i and
-    p_i|j, and stores (p_j|i + p_i|j) / 2n floored at 1e-12, with the
-    self pairs at 0; the square part of each block takes its distances
-    from its upper triangle, so P is exactly symmetric. Identical points
-    (no squared distance above 0) raise ValueError before any row is
-    calibrated.
+    numbers, p_j|i = exp(-d_ij^2 / 2 sigma_i^2 - top_i) / norm_i (top_i
+    the largest logit of row i) and p_i|j likewise, and stores (p_j|i +
+    p_i|j) / 2n floored at 1e-12, with the self pairs at 0; the square
+    part of each block takes its distances from its upper triangle, so P
+    is exactly symmetric. Identical points (no squared distance above 0)
+    raise ValueError before any row is calibrated.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]

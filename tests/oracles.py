@@ -299,12 +299,17 @@ def max_rel_err(analytic, numeric, floor=1e-3):
 
 # ------------------------------------------------------- exhaustive search
 
+def cosine(a, b):
+    """Cosine of the angle between two nonzero vectors."""
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def knn_oracle_distances(matrix, q, metric):
     """Distance of every row to q, written independently of the search module."""
     out = []
     for row in matrix:
         if metric == "cosine":
-            d = 1.0 - np.dot(row, q) / (np.linalg.norm(row) * np.linalg.norm(q))
+            d = 1.0 - cosine(row, q)
         else:
             d = float(np.linalg.norm(row - q))
         out.append(0.0 if abs(d) <= 1e-12 else d)
@@ -350,6 +355,7 @@ def reference_knn(matrix, query, k, metric):
 # ------------------------------------------------------------ exact t-SNE
 
 def reference_squared_distances(X):
+    """Pairwise squared Euclidean distances, exact zeros on the diagonal."""
     sq = np.sum(X * X, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -357,7 +363,9 @@ def reference_squared_distances(X):
     return d2
 
 
-def _reference_conditional(sq_row, sigma, self_index):
+def reference_conditional(sq_row, sigma, self_index):
+    """One row of neighbor probabilities: exp(-d^2 / 2 sigma^2) over all
+    other points, normalized to sum to 1, with the self entry at 0."""
     logits = -np.asarray(sq_row, dtype=float) / (2.0 * sigma * sigma)
     logits[self_index] = -np.inf
     logits -= logits.max()
@@ -383,7 +391,7 @@ def reference_joint_affinities(X, perp, calibrate):
     P_cond = np.zeros((n, n))
     for i in range(n):
         sigma = calibrate(d2[i], perp, i)
-        P_cond[i] = _reference_conditional(d2[i], sigma, i)
+        P_cond[i] = reference_conditional(d2[i], sigma, i)
     return reference_symmetrize(P_cond)
 
 
@@ -428,7 +436,7 @@ def reference_calibrate_sigma(sq_row, perp, self_index, tol=1e-5,
 
     def achieved(sigma):
         return reference_entropy_bits(
-            _reference_conditional(sq_row, sigma, self_index))
+            reference_conditional(sq_row, sigma, self_index))
 
     sigma = 1.0
     h = achieved(sigma)

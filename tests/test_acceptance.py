@@ -14,15 +14,16 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from oracles import (dense_joint, exclude_token, finite_difference_net_grads,
-                     init_model, knn_sort_oracle, max_rel_err, oracle_conditional,
-                     random_micro_instance, reference_entropy_bits, reference_kl,
-                     reference_q, state_from)
+from oracles import (cosine, dense_joint, exclude_token,
+                     finite_difference_net_grads, init_model, knn_sort_oracle,
+                     max_rel_err, oracle_conditional, random_micro_instance,
+                     reference_conditional, reference_entropy_bits, reference_kl,
+                     reference_q, reference_squared_distances, state_from)
 from topicvec import cli
 from topicvec.autoencoder import (ACTIVATIONS, NetTrainConfig, backprop, init_net,
                                   layer_learning_rates, reconstruction_error,
                                   train_autoencoder)
-from topicvec.corpus import build_corpus, cosine_similarity
+from topicvec.corpus import build_corpus
 from topicvec.doc2vec import (Doc2VecConfig, avg_log_prob, epoch_schedule,
                               log_prob_and_grads)
 from topicvec.doc2vec import train as d2v_train
@@ -31,9 +32,8 @@ from topicvec.lda import (GeneratorConfig, LdaConfig, estimate_phi_theta,
                           init_state)
 from topicvec.lda import train as lda_train
 from topicvec.neighbors import knn
-from topicvec.tsne import (TsneConfig, calibrate_sigma, conditional_affinities,
-                           joint_affinities, kl_and_gradient, run,
-                           squared_distances, sum_p_log_p)
+from topicvec.tsne import (TsneConfig, calibrate_sigma, joint_affinities,
+                           kl_and_gradient, run, sum_p_log_p)
 
 DATA = files("topicvec") / "data"
 
@@ -121,8 +121,8 @@ def test_criterion_3_planted_topic_recovery():
             model = lda_train(corp, LdaConfig(num_topics=2, alpha=0.02, beta=0.1,
                                               sweeps=60, burn_in=30, seed=seed))
             best = max(
-                min(cosine_similarity(model.phi[0], truth[p[0]]),
-                    cosine_similarity(model.phi[1], truth[p[1]]))
+                min(cosine(model.phi[0], truth[p[0]]),
+                    cosine(model.phi[1], truth[p[1]]))
                 for p in ([0, 1], [1, 0]))
             wins += best > 0.9
         elapsed = time.perf_counter() - start
@@ -227,7 +227,7 @@ def test_criterion_6_doc2vec_gradients_and_separation():
         within, cross = [], []
         for i in range(40):
             for j in range(i + 1, 40):
-                sim = cosine_similarity(D[i], D[j])
+                sim = cosine(D[i], D[j])
                 (within if (i < 20) == (j < 20) else cross).append(sim)
         assert np.mean(within) > np.mean(cross)
         elapsed = time.perf_counter() - start
@@ -266,10 +266,10 @@ def test_criterion_8_tsne_calibration_and_descent():
 
         rng = np.random.default_rng(40)
         X = rng.normal(size=(60, 8))
-        d2 = squared_distances(X)
+        d2 = reference_squared_distances(X)
         for i in range(60):
             sigma = calibrate_sigma(d2[i], perp=12.0, self_index=i)
-            bits = reference_entropy_bits(conditional_affinities(d2[i], sigma, i))
+            bits = reference_entropy_bits(reference_conditional(d2[i], sigma, i))
             assert abs(bits - math.log2(12.0)) < 1e-5
 
         Y = rng.normal(size=(6, 2))
@@ -299,7 +299,7 @@ def test_criterion_8_tsne_calibration_and_descent():
                          for i, c in enumerate(centers)])
         labels = np.repeat(np.arange(3), 50)
         lay = run(pts, TsneConfig(seed=6))
-        dd = squared_distances(lay.Y)
+        dd = reference_squared_distances(lay.Y)
         np.fill_diagonal(dd, np.inf)
         purity = float(np.mean(labels[np.argmin(dd, axis=1)] == labels))
         assert purity >= 0.9, f"cluster purity {purity}"

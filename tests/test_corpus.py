@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import tf_idf
-from topicvec.corpus import (PreprocessConfig, build_corpus, cosine_similarity,
-                             filter_vocabulary, preprocess_document, term_scores)
+from topicvec.corpus import (PreprocessConfig, build_corpus, filter_vocabulary,
+                             preprocess_document, term_scores)
 
 token_lists = st.lists(
     st.lists(st.sampled_from(["ant", "bee", "cat", "dog", "elk", "fox"]),
@@ -202,47 +202,26 @@ def test_filter_is_idempotent(docs, keep):
         assert np.array_equal(a.tokens, b.tokens)
 
 
-# -------------------------------------------------------------------- cosine
-
-def test_cosine_of_vector_with_itself():
-    v = np.array([0.3, -1.2, 4.0])
-    assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_of_distinct_one_hots_is_zero():
-    assert cosine_similarity([1, 0, 0], [0, 1, 0]) == 0.0
-
-
-def test_cosine_hand_value():
-    assert cosine_similarity([1, 1, 0], [1, 0, 0]) == pytest.approx(
-        1 / math.sqrt(2), abs=1e-12)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        cosine_similarity([1.0], [1.0, 2.0])
-
-
-# elements are zero or comfortably inside the normal float range; squaring
-# magnitudes near 1e-158 underflows to subnormals and genuinely loses digits
-_coord = st.one_of(st.just(0.0), st.floats(1e-3, 100), st.floats(-100, -1e-3))
-
-
-@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
-    st.lists(_coord, min_size=n, max_size=n),
-    st.lists(_coord, min_size=n, max_size=n))),
-    st.floats(min_value=1e-3, max_value=1e3))
-def test_cosine_scale_invariance(ab, c):
-    a, b = np.array(ab[0]), np.array(ab[1])
-    if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
+@given(token_lists)
+def test_unpruned_corpus_matches_a_pruned_rebuild(docs):
+    # a term in every document scores 0 and, named last, is the one that
+    # pruning to the original vocabulary size drops: that path rebuilds the
+    # corpus, while one already within the budget is returned as it is
+    corp = corpus_from(docs)
+    if corp.num_terms == 0:
         return
-    assert cosine_similarity(c * a, b) == pytest.approx(
-        cosine_similarity(a, b), abs=1e-12)
+    unpruned = filter_vocabulary(corp, corp.num_terms)
+    pruned = filter_vocabulary(corpus_from([d + ["zzz"] for d in docs]),
+                               corp.num_terms)
+    assert pruned.vocab.id_to_term == unpruned.vocab.id_to_term
+    assert pruned.vocab.term_to_id == unpruned.vocab.term_to_id
+    assert np.array_equal(pruned.vocab.doc_freq, unpruned.vocab.doc_freq)
+    assert np.array_equal(pruned.vocab.collection_freq,
+                          unpruned.vocab.collection_freq)
+    assert [d.label for d in pruned.docs] == [d.label for d in unpruned.docs]
+    for a, b in zip(pruned.docs, unpruned.docs):
+        assert a.tokens.dtype == b.tokens.dtype
+        assert np.array_equal(a.tokens, b.tokens)
 
 
 def test_term_scores_max_vs_sum_disagree_when_expected():

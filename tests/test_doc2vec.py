@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (hidden_h, init_model, predict_distribution,
+from oracles import (cosine, hidden_h, init_model, predict_distribution,
                      reference_instances, reference_step, reference_train)
 from topicvec import pipeline
-from topicvec.corpus import build_corpus, cosine_similarity, load_token_file
+from topicvec.corpus import build_corpus, load_token_file
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
                               build_windows, epoch_schedule, infer_vector,
                               log_prob_and_grads, subsample, train)
@@ -501,7 +501,7 @@ def test_reinferring_training_document_lands_near_itself():
     m = 0
     tokens = [corp.vocab.id_to_term[t] for t in corp.docs[m].tokens]
     v = infer_vector(model, tokens, toy_config(max_epochs=150, seed=9))
-    sims = [cosine_similarity(v, model.D[i]) for i in range(corp.num_docs)]
+    sims = [cosine(v, model.D[i]) for i in range(corp.num_docs)]
     assert int(np.argmax(sims)) == m
 
 
@@ -525,6 +525,6 @@ def test_two_cluster_corpus_separates():
     within, cross = [], []
     for i in range(40):
         for j in range(i + 1, 40):
-            sim = cosine_similarity(D[i], D[j])
+            sim = cosine(D[i], D[j])
             (within if (i < 20) == (j < 20) else cross).append(sim)
     assert np.mean(within) > np.mean(cross)

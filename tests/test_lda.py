@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import (bucket_masses, exclude_token, oracle_conditional,
+from oracles import (bucket_masses, cosine, exclude_token, oracle_conditional,
                      random_micro_instance, reference_sparse_infer_theta,
                      reference_sparse_sweep, state_from)
 from topicvec.corpus import BagOfWords, build_corpus
@@ -695,10 +695,9 @@ def test_generated_corpus_recoverable():
                                   sweeps=50, burn_in=25, seed=1))
     cols = [int(term[1:]) for term in corp.vocab.id_to_term]
     truth = true_phi[:, cols]
-    from topicvec.corpus import cosine_similarity
     best = max(
-        min(cosine_similarity(model.phi[0], truth[p[0]]),
-            cosine_similarity(model.phi[1], truth[p[1]]))
+        min(cosine(model.phi[0], truth[p[0]]),
+            cosine(model.phi[1], truth[p[1]]))
         for p in ([0, 1], [1, 0]))
     assert best > 0.9
 

@@ -96,9 +96,9 @@ def test_identical_rows_keep_index_order_under_cosine():
 
 def test_zero_vectors_rejected_for_cosine():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix row 1 is zero"):
         knn(X, 0, k=1, metric="cosine")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="query vector is zero"):
         knn(np.eye(3), np.zeros(3), k=1, metric="cosine")
 
 

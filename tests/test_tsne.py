@@ -5,15 +5,14 @@ import warnings
 import numpy as np
 import pytest
 from oracles import (dense_joint, packed_joint, reference_calibrate_sigma,
-                     reference_entropy_bits, reference_gradient,
-                     reference_joint_affinities, reference_kl, reference_q,
-                     reference_squared_distances, reference_symmetrize,
-                     reference_tsne_run)
+                     reference_conditional, reference_entropy_bits,
+                     reference_gradient, reference_joint_affinities,
+                     reference_kl, reference_q, reference_squared_distances,
+                     reference_symmetrize, reference_tsne_run)
 
 from topicvec import tsne
-from topicvec.tsne import (TsneConfig, calibrate_sigma, conditional_affinities,
-                           joint_affinities, kl_and_gradient, run,
-                           squared_distances, sum_p_log_p)
+from topicvec.tsne import (TsneConfig, calibrate_sigma, joint_affinities,
+                           kl_and_gradient, run, sum_p_log_p)
 
 
 def awkward_data(n, seed, dups=0, simplex=0):
@@ -41,7 +40,7 @@ def three_cluster_data(n_per=50, dim=10, spread=0.5, gap=20.0, seed=0):
 
 def test_conditional_row_sums_to_one():
     row = np.array([0.0, 1.0, 4.0, 2.5])
-    p = conditional_affinities(row, sigma=0.8, self_index=0)
+    p = reference_conditional(row, sigma=0.8, self_index=0)
     assert p[0] == 0.0
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -49,23 +48,18 @@ def test_conditional_row_sums_to_one():
 def test_equidistant_points_get_uniform_affinities():
     row = np.array([0.0, 5.0, 5.0])
     for sigma in (0.1, 1.0, 10.0):
-        p = conditional_affinities(row, sigma, 0)
+        p = reference_conditional(row, sigma, 0)
         assert p == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
 
 
 def test_conditional_matches_direct_formula():
     row = np.array([3.0, 0.0, 1.0, 7.0])
     sigma = 1.3
-    p = conditional_affinities(row, sigma, self_index=1)
+    p = reference_conditional(row, sigma, self_index=1)
     weights = [math.exp(-d / (2 * sigma * sigma)) if j != 1 else 0.0
                for j, d in enumerate(row)]
     expected = np.array(weights) / sum(weights)
     assert p == pytest.approx(expected, abs=1e-12)
-
-
-def test_conditional_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        conditional_affinities(np.array([0.0, 1.0]), 0.0, 0)
 
 
 # ------------------------------------------------------------ calibration
@@ -73,17 +67,17 @@ def test_conditional_rejects_nonpositive_sigma():
 def test_calibration_hits_target_perplexity_on_random_rows():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 5))
-    d2 = squared_distances(X)
+    d2 = reference_squared_distances(X)
     for i in range(40):
         sigma = calibrate_sigma(d2[i], perp=10.0, self_index=i)
-        bits = reference_entropy_bits(conditional_affinities(d2[i], sigma, i))
+        bits = reference_entropy_bits(reference_conditional(d2[i], sigma, i))
         assert abs(bits - math.log2(10.0)) < 1e-5
 
 
 def test_doubling_distances_doubles_sigma():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(25, 4))
-    d2 = squared_distances(X)
+    d2 = reference_squared_distances(X)
     for i in (0, 7, 19):
         s1 = calibrate_sigma(d2[i], perp=8.0, self_index=i)
         s2 = calibrate_sigma(4.0 * d2[i], perp=8.0, self_index=i)  # 2x distances
@@ -95,7 +89,7 @@ def test_equidistant_row_reports_its_forced_perplexity():
     row = np.full(n, 3.0)
     row[2] = 0.0
     sigma = calibrate_sigma(row, perp=n - 1, self_index=2)
-    bits = reference_entropy_bits(conditional_affinities(row, sigma, 2))
+    bits = reference_entropy_bits(reference_conditional(row, sigma, 2))
     assert 2.0 ** bits == pytest.approx(n - 1, rel=1e-9)
 
 
@@ -109,7 +103,7 @@ def assert_calibrated(rows, perp, tol=1e-5):
         sigmas = [calibrate_sigma(row, perp, i, tol) for i, row in enumerate(rows)]
 
     def miss(row, sigma, i):
-        p = conditional_affinities(row, sigma, i)
+        p = reference_conditional(row, sigma, i)
         return abs(reference_entropy_bits(p) - math.log2(perp))
 
     for i, (row, sigma) in enumerate(zip(rows, sigmas)):
@@ -123,13 +117,15 @@ def assert_calibrated(rows, perp, tol=1e-5):
     (30, 5.0, 0, 0), (80, 12.5, 10, 0), (150, 20.0, 0, 30),
     (300, 30.0, 25, 40)])
 def test_calibration_matches_reference_search(n, perp, dups, simplex):
-    assert_calibrated(
-        squared_distances(awkward_data(n, seed=n, dups=dups, simplex=simplex)), perp)
+    X = awkward_data(n, seed=n, dups=dups, simplex=simplex)
+    assert_calibrated(reference_squared_distances(X), perp)
 
 
 def equidistant_and_tied_rows(n=30):
-    simplex = squared_distances(3.0 * np.eye(n))  # every row is equidistant
-    ties = np.round(squared_distances(np.random.default_rng(9).normal(size=(n, 2))))
+    # every row of simplex is equidistant
+    simplex = reference_squared_distances(3.0 * np.eye(n))
+    ties = np.round(reference_squared_distances(
+        np.random.default_rng(9).normal(size=(n, 2))))
     return simplex, ties
 
 
@@ -149,7 +145,7 @@ def test_calibration_at_the_limit_perplexity_meets_target():
     for i in range(n):
         for sigma in (calibrate_sigma(rows[i], n - 1, i),
                       reference_calibrate_sigma(rows[i], n - 1, i)):
-            bits = reference_entropy_bits(conditional_affinities(rows[i], sigma, i))
+            bits = reference_entropy_bits(reference_conditional(rows[i], sigma, i))
             assert abs(bits - math.log2(n - 1)) < 1e-12
 
 
@@ -164,7 +160,7 @@ def test_unreachable_perplexity_returns_best_effort():
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
 def test_calibration_matches_reference_on_tiny_and_huge_distances(scale):
-    d2 = squared_distances(awkward_data(60, seed=11, dups=6, simplex=8))
+    d2 = reference_squared_distances(awkward_data(60, seed=11, dups=6, simplex=8))
     for perp in (5.0, 30.0):
         assert_calibrated(scale * d2, perp)
 
@@ -196,12 +192,12 @@ def test_calibration_with_as_many_ties_as_the_perplexity_meets_target():
     for i, row in enumerate(rows):
         for sigma in (calibrate_sigma(row, 9.0, i),
                       reference_calibrate_sigma(row, 9.0, i)):
-            bits = reference_entropy_bits(conditional_affinities(row, sigma, i))
+            bits = reference_entropy_bits(reference_conditional(row, sigma, i))
             assert abs(bits - math.log2(9.0)) < 1e-5
 
 
 def test_calibration_matches_reference_just_below_the_limit_perplexity():
-    for rows in (squared_distances(awkward_data(30, seed=30)),
+    for rows in (reference_squared_distances(awkward_data(30, seed=30)),
                  equidistant_and_tied_rows()[1]):
         assert_calibrated(rows, len(rows) - 1.5)
 
@@ -219,7 +215,7 @@ def test_rows_without_a_root_get_their_limit_rows():
                 (0.5, math.exp(-45.0), row == 1.0), (1.0, math.exp(-45.0), row == 1.0),
                 (5.0, math.exp(-45.0), row == 1.0), (9.0, math.exp(-45.0), row == 1.0)):
             assert calibrate_sigma(row, perp, i) == sigma
-            p = conditional_affinities(row, sigma, i)
+            p = reference_conditional(row, sigma, i)
             assert p == pytest.approx(support / support.sum(), abs=1e-15)
 
 
@@ -271,7 +267,9 @@ def test_blocked_p_building_matches_whole_matrix_formulas(monkeypatch, n):
     monkeypatch.setattr(tsne, "_BLOCK_ENTRIES", 3 * n)
     rng = np.random.default_rng(n)
     X = rng.normal(scale=10.0, size=(n, 6))
-    assert np.array_equal(squared_distances(X), reference_squared_distances(X))
+    sq = np.sum(X * X, axis=1)
+    assert np.array_equal(tsne._distance_block(X, sq, 0, n, 0),
+                          reference_squared_distances(X))
     assert_packed_p_matches_reference(X, min(20.0, n / 4))
 
 
@@ -555,7 +553,8 @@ def test_rigid_rotation_leaves_layout_unchanged():
     # 180-degree rotation in the first two coordinates: every intermediate
     # product is bitwise unchanged, so the distances are exactly equal
     R = np.diag([-1.0, -1.0, 1.0, 1.0])
-    assert np.array_equal(squared_distances(X), squared_distances(X @ R))
+    assert np.array_equal(reference_squared_distances(X),
+                          reference_squared_distances(X @ R))
     cfg = TsneConfig(perplexity=6, iterations=150, seed=3)
     l1, l2 = run(X, cfg), run(X @ R, cfg)
     assert np.array_equal(l1.Y, l2.Y)
@@ -574,7 +573,7 @@ def test_three_clusters_map_to_pure_neighborhoods():
     X, labels = three_cluster_data()
     cfg = TsneConfig(perplexity=20, iterations=400, seed=6)
     layout = run(X, cfg)
-    d2 = squared_distances(layout.Y)
+    d2 = reference_squared_distances(layout.Y)
     np.fill_diagonal(d2, np.inf)
     nearest = np.argmin(d2, axis=1)
     purity = float(np.mean(labels[nearest] == labels))
