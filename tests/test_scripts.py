@@ -13,16 +13,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, cwd):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
-                          cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
-
-
 LAST_LINES = {
     "demo_word_features.py": "  sentence_3: +0.1091  +0.1891  +0.6650",
     "cluster_map.py": "layout written to cluster_layout.csv",
@@ -32,7 +22,13 @@ LAST_LINES = {
 
 @pytest.mark.parametrize("name", sorted(LAST_LINES))
 def test_script_runs_to_its_summary(tmp_path, name):
-    lines = run_script(name, tmp_path)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
     assert lines[-1] == LAST_LINES[name]
     if name == "cluster_map.py":
         assert "1-NN cluster purity in 2-D: 100.0%" in lines
