@@ -19,7 +19,8 @@ def cosine(a, b):
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def main():
+def main() -> int:
+    """Print one line per seed and the summary; return the runs recovered."""
     beta = np.zeros((2, 20))
     beta[0, :10] = 1.0
     beta[1, 10:] = 1.0
@@ -41,6 +42,7 @@ def main():
         wins += best > 0.9
         print(f"seed {seed}: best-permutation cosine {best:.4f}")
     print(f"\nrecovered in {wins}/{RUNS} runs (threshold 0.9)")
+    return wins
 
 
 if __name__ == "__main__":

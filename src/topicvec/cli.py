@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import doc2vec, neighbors, tsne
 from . import pipeline as pl
 
 
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", dest="doc2vec.dim", type=int)
     p.add_argument("--window", dest="doc2vec.window", type=int)
     p.add_argument("--min-count", dest="doc2vec.min_count", type=int)
-    p.add_argument("--mode", dest="doc2vec.mode", choices=["pvdm", "pvdbow"])
+    p.add_argument("--mode", dest="doc2vec.mode", choices=doc2vec.MODES)
     p.add_argument("--subsample", dest="doc2vec.subsample", type=float)
     p.add_argument("--max-epochs", dest="doc2vec.max_epochs", type=int)
 
@@ -79,14 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", dest="knn.title", help="query by exact title")
     p.add_argument("--index", dest="knn.index", type=int, help="query by row index")
     p.add_argument("--k", dest="knn.k", type=int)
-    p.add_argument("--metric", dest="knn.metric", choices=["cosine", "euclidean"])
+    p.add_argument("--metric", dest="knn.metric", choices=neighbors.METRICS)
 
     p = command("tsne", "project features to two dimensions")
     p.add_argument("--features", help="feature CSV, one row per document")
     p.add_argument("--perplexity", dest="tsne.perplexity", type=float)
     p.add_argument("--iterations", dest="tsne.iterations", type=int)
     p.add_argument("--learning-rate", dest="tsne.learning_rate", type=float)
-    p.add_argument("--kernel", dest="tsne.kernel", choices=["student_t", "gaussian"])
+    p.add_argument("--kernel", dest="tsne.kernel", choices=tsne.KERNELS)
 
     command("pipeline", "run every stage in order")
     return parser

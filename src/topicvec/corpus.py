@@ -17,15 +17,12 @@ class PreprocessConfig:
     drop_names: frozenset[str] = frozenset()
     keep_top_n_terms: int = 100_000
     min_token_len: int = 1
-    score_aggregate: str = "max"  # or "sum"
 
     def __post_init__(self):
         if self.keep_top_n_terms < 1:
             raise ValueError("keep_top_n_terms must be >= 1")
         if self.min_token_len < 1:
             raise ValueError("min_token_len must be >= 1")
-        if self.score_aggregate not in ("max", "sum"):
-            raise ValueError("score_aggregate must be 'max' or 'sum'")
 
 
 @dataclass
@@ -132,8 +129,8 @@ def build_corpus(docs: list[list[str]], labels: list[str]) -> Corpus:
     return Corpus(tdocs, vocab)
 
 
-def term_scores(corpus: Corpus, aggregate: str = "max") -> np.ndarray:
-    """Corpus-level pruning score per term: max (or sum) of its per-document
+def term_scores(corpus: Corpus) -> np.ndarray:
+    """Corpus-level pruning score per term: the max of its per-document
     TF-IDF values."""
     V = corpus.num_terms
     D = corpus.num_docs
@@ -141,15 +138,11 @@ def term_scores(corpus: Corpus, aggregate: str = "max") -> np.ndarray:
     scores = np.zeros(V)
     for doc in corpus.docs:
         ids, counts = np.unique(doc.tokens, return_counts=True)
-        doc_scores = counts * idf[ids]
-        if aggregate == "max":
-            np.maximum.at(scores, ids, doc_scores)
-        else:
-            np.add.at(scores, ids, doc_scores)
+        np.maximum.at(scores, ids, counts * idf[ids])
     return scores
 
 
-def filter_vocabulary(corpus: Corpus, keep_top_n: int, aggregate: str = "max") -> Corpus:
+def filter_vocabulary(corpus: Corpus, keep_top_n: int) -> Corpus:
     """Keep the highest-scoring keep_top_n terms and re-index the corpus.
 
     Ties at the cutoff are broken by lexicographic term order so the result
@@ -160,7 +153,7 @@ def filter_vocabulary(corpus: Corpus, keep_top_n: int, aggregate: str = "max") -
         raise ValueError("keep_top_n must be >= 1")
     if corpus.num_terms <= keep_top_n:
         return corpus
-    scores = term_scores(corpus, aggregate)
+    scores = term_scores(corpus)
     order = sorted(range(corpus.num_terms),
                    key=lambda t: (-scores[t], corpus.vocab.id_to_term[t]))
     keep = set(order[:keep_top_n])

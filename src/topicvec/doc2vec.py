@@ -5,9 +5,10 @@ its context word vectors; pvdbow predicts a word sampled from each text
 window from the document vector alone. Training ascends the average log
 probability by per-instance gradient steps with a multiplicative
 learning-rate decay. Training, fold-in (`infer_vector`) and
-`avg_log_prob` share one fused forward/backward step, and training and
-fold-in take each epoch's instances, windows of model ids, from one
-routine.
+`avg_log_prob` share one fused forward/backward step and one mapping
+from a document's tokens to model ids, which rejects a document that
+`min_count` leaves empty; training and fold-in take each epoch's
+instances, windows of model ids, from one routine.
 
 The step makes few numpy calls per instance, because at small
 vocabularies the call overhead outweighs the arithmetic: one gathered
@@ -35,13 +36,15 @@ import numpy as np
 
 from .corpus import Corpus
 
+MODES = ("pvdm", "pvdbow")
+
 
 @dataclass
 class Doc2VecConfig:
     dim: int = 50
     window: int = 5
     min_count: int = 5
-    mode: str = "pvdm"  # or "pvdbow"
+    mode: str = "pvdm"  # one of MODES
     subsample: float = 1e-5
     alpha0: float = 0.025
     decay: float = 0.99
@@ -72,8 +75,8 @@ class Doc2VecConfig:
             raise ValueError("seed must be >= 0")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
-        if self.mode not in ("pvdm", "pvdbow"):
-            raise ValueError("mode must be 'pvdm' or 'pvdbow'")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
 
 
 @dataclass
@@ -193,17 +196,18 @@ def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
     return float(shifted - np.log(norm)), gU, err, grad, grad_ctx
 
 
-def _corpus_model_ids(corpus: Corpus, model: EmbeddingModel) -> list[np.ndarray]:
-    """Per-document token lists remapped to model ids, pruned terms dropped."""
-    lut = np.full(corpus.num_terms, -1, dtype=np.int64)
-    for t, term in enumerate(corpus.vocab.id_to_term):
-        if term in model.term_to_id:
-            lut[t] = model.term_to_id[term]
-    out = []
-    for doc in corpus.docs:
-        mapped = lut[doc.tokens]
-        out.append(mapped[mapped >= 0])
-    return out
+def _model_ids(model: EmbeddingModel, tokens, label: str | None = None) -> np.ndarray:
+    """A document's tokens (term strings) as model ids, in order, with the
+    terms that min_count pruned left out. Training, fold-in and
+    `avg_log_prob` all map documents here, so a document with no term
+    left fails the same way in each: ValueError, naming the document by
+    its label when it has one."""
+    ids = [model.term_to_id[t] for t in tokens if t in model.term_to_id]
+    if not ids:
+        doc = "document" if label is None else f"document {label!r}"
+        raise ValueError(f"{doc} has no term left after [doc2vec] min_count "
+                         f"= {model.config.min_count}")
+    return np.asarray(ids, dtype=np.int64)
 
 
 def _init_with_rng(corpus: Corpus, cfg: Doc2VecConfig,
@@ -244,13 +248,16 @@ def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
 
     Documents are visited in order within each epoch; the learning rate
     follows epoch_schedule. Single-threaded and fully deterministic for a
-    fixed seed.
+    fixed seed. A document with no term left after min_count pruning
+    raises ValueError before the first epoch.
     """
     if corpus.num_docs == 0:
         raise ValueError("corpus is empty")
     rng = np.random.default_rng(cfg.seed)
     model = _init_with_rng(corpus, cfg, rng)
-    docs = _corpus_model_ids(corpus, model)
+    terms = corpus.vocab.id_to_term
+    docs = [_model_ids(model, [terms[t] for t in doc.tokens.tolist()], doc.label)
+            for doc in corpus.docs]
     U, b, W = model.U, model.b, model.W
     gU = np.empty_like(U)
     for alpha in epoch_schedule(cfg):
@@ -275,14 +282,17 @@ def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
 def avg_log_prob(model: EmbeddingModel, corpus: Corpus) -> float:
     """Mean log probability of the target word over all prediction
     instances, enumerated deterministically: every position is a pvdm
-    center (or a pvdbow target), with no subsampling."""
+    center (or a pvdbow target), with no subsampling. A document with no
+    term left after min_count pruning raises ValueError."""
+    if corpus.num_docs == 0:
+        raise ValueError("corpus is empty")
     mode = model.config.mode
+    terms = corpus.vocab.id_to_term
     total = 0.0
     count = 0
-    for m, ids in enumerate(_corpus_model_ids(corpus, model)):
-        toks = ids.tolist()
-        if not toks:
-            continue
+    for m, doc in enumerate(corpus.docs):
+        toks = _model_ids(model, [terms[t] for t in doc.tokens.tolist()],
+                          doc.label).tolist()
         if mode == "pvdm":
             windows = build_windows(toks, model.config.window, mode)
         else:
@@ -291,8 +301,6 @@ def avg_log_prob(model: EmbeddingModel, corpus: Corpus) -> float:
             shifted, norm = _step(model, model.D[m], ctx_ids, target)[:2]
             total += float(shifted - np.log(norm))
             count += 1
-    if count == 0:
-        raise ValueError("corpus has no in-vocabulary tokens")
     return total / count
 
 
@@ -301,12 +309,10 @@ def infer_vector(model: EmbeddingModel, doc_tokens, cfg: Doc2VecConfig) -> np.nd
     softmax parameters frozen.
 
     Runs the same schedule, instance construction and step as training, but
-    only the fresh document vector receives gradient updates.
+    only the fresh document vector receives gradient updates. A document
+    with no term in the model raises ValueError.
     """
-    ids = np.asarray([model.term_to_id[t] for t in doc_tokens
-                      if t in model.term_to_id], dtype=np.int64)
-    if len(ids) == 0:
-        raise ValueError("document has no in-vocabulary tokens")
+    ids = _model_ids(model, doc_tokens)
     rng = np.random.default_rng(cfg.seed)
     span = 0.5 / model.config.dim
     v = rng.uniform(-span, span, size=model.config.dim)

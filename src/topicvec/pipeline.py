@@ -284,8 +284,7 @@ def run_preprocess(cfg: PipelineConfig) -> Corpus:
             pcfg, drop_names=corpus_mod.load_stopwords(cfg.names_path))
     docs = [corpus_mod.preprocess_document(line, pcfg) for line in raw]
     corp = build_corpus(docs, titles)
-    corp = corpus_mod.filter_vocabulary(corp, pcfg.keep_top_n_terms,
-                                        pcfg.score_aggregate)
+    corp = corpus_mod.filter_vocabulary(corp, pcfg.keep_top_n_terms)
     tokens = [[corp.vocab.id_to_term[t] for t in doc.tokens] for doc in corp.docs]
     corpus_mod.write_token_file(_out(cfg, "corpus_filtered.txt"), tokens)
     return corp

@@ -254,7 +254,9 @@ def reference_train(corpus, cfg):
     and per context word: the oracle for `doc2vec.train`."""
     rng = np.random.default_rng(cfg.seed)
     model = doc2vec._init_with_rng(corpus, cfg, rng)
-    docs = doc2vec._corpus_model_ids(corpus, model)
+    terms = corpus.vocab.id_to_term
+    docs = [[model.term_to_id[terms[t]] for t in doc.tokens
+             if terms[t] in model.term_to_id] for doc in corpus.docs]
     for alpha in doc2vec.epoch_schedule(cfg):
         for m, doc_ids in enumerate(docs):
             for ctx_ids, target in reference_instances(model, doc_ids, cfg, rng):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import tf_idf
 from topicvec.corpus import (PreprocessConfig, build_corpus, filter_vocabulary,
-                             preprocess_document, term_scores)
+                             preprocess_document)
 
 token_lists = st.lists(
     st.lists(st.sampled_from(["ant", "bee", "cat", "dog", "elk", "fox"]),
@@ -173,17 +173,6 @@ def test_filter_matches_exhaustive_scoring_oracle():
     assert set(out.vocab.id_to_term) == expected
 
 
-def test_filter_sum_aggregate_matches_oracle():
-    docs = [["cat", "dog"], ["cat", "dog", "dog"], ["elk", "cat"]]
-    corp = corpus_from(docs)
-    totals = {}
-    for term in corp.vocab.id_to_term:
-        totals[term] = sum(tf_idf(term, m, corp) for m in range(corp.num_docs))
-    expected = set(sorted(totals, key=lambda w: (-totals[w], w))[:2])
-    out = filter_vocabulary(corp, keep_top_n=2, aggregate="sum")
-    assert set(out.vocab.id_to_term) == expected
-
-
 def test_filter_tie_break_is_lexicographic():
     # two one-doc terms tie; the alphabetically first survives
     corp = corpus_from([["zeta", "cat"], ["alpha", "cat"]])
@@ -222,11 +211,3 @@ def test_unpruned_corpus_matches_a_pruned_rebuild(docs):
     for a, b in zip(pruned.docs, unpruned.docs):
         assert a.tokens.dtype == b.tokens.dtype
         assert np.array_equal(a.tokens, b.tokens)
-
-
-def test_term_scores_max_vs_sum_disagree_when_expected():
-    corp = corpus_from([["cat", "cat"], ["cat", "dog"], ["elk"]])
-    mx = term_scores(corp, "max")
-    sm = term_scores(corp, "sum")
-    t = corp.vocab.term_to_id["cat"]
-    assert sm[t] >= mx[t]

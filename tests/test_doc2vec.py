@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (cosine, hidden_h, init_model, predict_distribution,
                      reference_instances, reference_step, reference_train)
-from topicvec import pipeline
+from topicvec import doc2vec, pipeline
 from topicvec.corpus import build_corpus, load_token_file
 from topicvec.doc2vec import (Doc2VecConfig, EmbeddingModel, avg_log_prob,
                               build_windows, epoch_schedule, infer_vector,
@@ -200,6 +201,34 @@ def test_training_raises_on_empty_vocabulary():
         train(corp, toy_config(min_count=5))
 
 
+def emptied_corpus():
+    """Three documents where min_count = 2 leaves "Lone Doc" no term."""
+    docs = [["common"] * 4 + ["pair"], ["rare", "odd"], ["common", "pair"]]
+    return build_corpus(docs, ["a", "Lone Doc", "c"])
+
+
+EMPTIED = re.escape("document 'Lone Doc' has no term left after "
+                    "[doc2vec] min_count = 2")
+
+
+def test_training_rejects_a_document_that_min_count_empties(monkeypatch):
+    # before the first epoch: not even the document ahead of it is stepped
+    def step(*args, **kwargs):
+        raise AssertionError("an instance was stepped")
+
+    monkeypatch.setattr(doc2vec, "log_prob_and_grads", step)
+    with pytest.raises(ValueError, match=EMPTIED):
+        train(emptied_corpus(), toy_config(min_count=2))
+
+
+def test_avg_log_prob_rejects_a_document_that_min_count_empties():
+    model = init_model(emptied_corpus(), toy_config(min_count=2))
+    with pytest.raises(ValueError, match=EMPTIED):
+        avg_log_prob(model, emptied_corpus())
+    with pytest.raises(ValueError, match="corpus is empty"):
+        avg_log_prob(model, build_corpus([], []))
+
+
 def test_min_count_pruning_invariant():
     docs = [["common"] * 6 + ["rare"], ["common"] * 4]
     corp = build_corpus(docs, ["a", "b"])
@@ -327,7 +356,7 @@ def test_training_matches_reference_loop_bitwise_on_mini_corpus(mini):
     corp, cfg = mini
     cfg = dataclasses.replace(cfg, max_epochs=1)
     got, want = train(corp, cfg), reference_train(corp, cfg)
-    assert (len(got.terms), cfg.dim, cfg.mode) == (194, 16, "pvdm")
+    assert (len(got.terms), cfg.dim, cfg.mode) == (208, 16, "pvdm")
     for name in ("D", "W", "U", "b"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -483,7 +512,9 @@ def test_inference_deterministic():
 def test_inference_rejects_out_of_vocabulary_documents():
     corp = toy_corpus()
     model = train(corp, toy_config(max_epochs=2))
-    with pytest.raises(ValueError):
+    # the wording of training's error, without a label to name
+    with pytest.raises(ValueError, match=re.escape(
+            "document has no term left after [doc2vec] min_count = 1")):
         infer_vector(model, ["zzz", "qqq"], toy_config())
 
 

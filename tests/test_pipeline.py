@@ -3,6 +3,7 @@ import json
 import os
 import re
 import zipfile
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -573,3 +574,21 @@ def test_cli_rejects_non_finite_feature_rows(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert str(fpath) in err and "row 1 " in err
     assert not out.exists()
+
+
+def test_cli_doc2vec_train_names_a_document_that_min_count_empties(tmp_path,
+                                                                   capsys):
+    # at min_count 3 no term of the quick start's Dracula opening is left
+    data = files("topicvec") / "data"
+    out = tmp_path / "out"
+    argv = ["--config", str(data / "mini.ini"),
+            "--corpus", str(data / "mini_plots.txt"),
+            "--titles", str(data / "mini_titles.txt"),
+            "--stopwords", str(data / "stopwords.txt"), "--out", str(out)]
+    assert cli.main(["preprocess", *argv]) == 0
+    assert cli.main(["doc2vec-train", *argv, "--min-count", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "topicvec: error: document 'Dracula' has no term left after "
+        "[doc2vec] min_count = 3\n")
+    assert not (out / "doc2vec_vectors.csv").exists()
+    assert not (out / "doc2vec_model.npz").exists()
