@@ -11,19 +11,24 @@ from a document's tokens to model ids, which rejects a document that
 instances, windows of model ids, from one routine.
 
 The step makes few numpy calls per instance, because at small
-vocabularies the call overhead outweighs the arithmetic: one gathered
-context sum, the softmax in place on one V-vector, and in pvdm one
-gradient array for the document and its context words. The U gradient
-err h^T is one k = 1 matrix product (V x 1 by 1 x dim), which training
-writes into one V x dim buffer kept for the run and scales in place
-before adding it to U. Training adds the context step to the context
-rows with one `np.add.at`, which adds a word repeated in the window once
-per occurrence, in order. The results are bit for bit those of the
-plain step and update loop in the test suite (`tests/oracles.py`),
-which forms the U gradient with `np.outer`. The product may drop the
-sign of a zero entry where `np.outer` keeps it; U cannot see that,
-since it starts at +0.0 and an IEEE sum is -0.0 only when both terms
-are, so D, W, U and b keep their bytes.
+vocabularies the call overhead outweighs the arithmetic: it takes the
+context sum ready-made, runs the softmax in place in buffers taken once
+per call of the routine that steps, and in pvdm gives one gradient array
+for the document and its context words. Training sums each instance's
+context itself, since it moves W after every instance. Fold-in and
+`avg_log_prob` leave W frozen, so they pad each epoch's (or document's)
+context ids into one id matrix and form all of its context sums with one
+gather and one reduce; at dim >= 2 each sum is bit for bit the
+per-instance one. The U gradient err h^T is one k = 1 matrix product
+(V x 1 by 1 x dim), which training writes into one V x dim buffer kept
+for the run and scales in place before adding it to U. Training adds
+the context step to the context rows with one `np.add.at`, which adds a
+word repeated in the window once per occurrence, in order. The results
+are bit for bit those of the plain step and update loop in the test
+suite (`tests/oracles.py`), which forms the U gradient with `np.outer`.
+The product may drop the sign of a zero entry where `np.outer` keeps
+it; U cannot see that, since it starts at +0.0 and an IEEE sum is -0.0
+only when both terms are, so D, W, U and b keep their bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -118,8 +124,9 @@ def build_windows(doc_tokens, window: int, mode: str,
     if n == 0:
         raise ValueError("document is empty")
     if mode == "pvdm":
-        return [(toks[max(0, i - window):i] + toks[i + 1:i + window + 1],
-                 toks[i]) for i in range(n)]
+        # a conditional, not max(): fold-in builds these once per epoch
+        return [(toks[i - window if i > window else 0:i]
+                 + toks[i + 1:i + window + 1], toks[i]) for i in range(n)]
     if mode == "pvdbow":
         if rng is None:
             raise ValueError("pvdbow windowing needs an rng to sample targets")
@@ -138,62 +145,106 @@ def subsample(tokens, threshold: float, frequencies: np.ndarray,
     return tokens[rng.random(len(tokens)) >= discard]
 
 
-def _step(model: EmbeddingModel, doc_vec: np.ndarray, context_ids,
-          target_id: int):
-    """Forward/backward pass of one instance against the exact softmax, in
-    the model's mode: the shifted target logit and the softmax normalizer
-    (log p of the target is their `shifted - log(norm)`), the hidden vector
-    h, the output error (one-hot target minus prediction, which is also the
-    bias gradient), and one ascent gradient: for the document vector, and
-    in pvdm also the shared context direction (to be split equally among
-    contributing vectors).
+def _step(model: EmbeddingModel, doc_vec: np.ndarray, ctx_sum, n_ctx: int,
+          target_id: int, h: np.ndarray, err: np.ndarray, grad: np.ndarray):
+    """Forward/backward pass of one instance against the exact softmax,
+    given the sum `ctx_sum` of its `n_ctx` context word vectors (pvdm; a
+    pvdbow instance, or a pvdm one with an empty context, has n_ctx = 0
+    and no sum is read). Returns the shifted target logit, the softmax
+    normalizer (log p of the target is their `shifted - log(norm)`) and
+    the hidden vector h; writes the output error (one-hot target minus
+    prediction, which is also the bias gradient) into `err` and one ascent
+    gradient into `grad`: for the document vector, and in pvdm also the
+    shared context direction (to be split equally among contributing
+    vectors).
 
-    h is the document vector in pvdbow and, in pvdm, the mean of the
-    document vector and the context word vectors. The softmax runs in
-    place on one V-vector; dividing by -norm gives -(e / norm) bit for
-    bit. In pvdm the gradient is grad_h / (1 + len(context_ids)). The
-    reductions call the ufuncs' `reduce` directly, which is what `.sum()`
-    and `.max()` run.
+    h is the document vector when n_ctx = 0 and otherwise, written into
+    the buffer `h`, the mean of the document vector and the context word
+    vectors. The softmax runs in place on `err`; dividing by -norm gives
+    -(e / norm) bit for bit. With a context the gradient is
+    grad_h / (1 + n_ctx). The reductions call the ufuncs' `reduce`
+    directly, which is what `.sum()` and `.max()` run.
     """
     U = model.U
-    pvdm = model.config.mode == "pvdm"
-    if pvdm and len(context_ids):
-        h = np.add.reduce(model.W.take(context_ids, axis=0), axis=0)
-        h += doc_vec
-        h /= 1 + len(context_ids)
+    share = 1.0 + n_ctx  # a float divisor is cheaper than an int, same bits
+    if n_ctx:
+        np.add(ctx_sum, doc_vec, out=h)
+        h /= share
     else:
         h = doc_vec
-    e = U @ h
-    e += model.b
-    e -= np.maximum.reduce(e)
-    shifted_target = e[target_id]
-    np.exp(e, out=e)
-    norm = np.add.reduce(e)
-    e /= -norm
-    e[target_id] += 1.0
-    grad_h = U.T @ e
-    if pvdm:
-        grad_h *= 1.0 / (1 + len(context_ids))
-    return shifted_target, norm, h, e, grad_h
+    np.matmul(U, h, out=err)
+    err += model.b
+    err -= np.maximum.reduce(err)
+    shifted_target = err[target_id]
+    np.exp(err, out=err)
+    norm = np.add.reduce(err)
+    err /= -norm
+    err[target_id] += 1.0
+    np.matmul(err, U, out=grad)
+    if n_ctx:
+        grad *= 1.0 / share
+    return shifted_target, norm, h
+
+
+def _buffers(model: EmbeddingModel):
+    """The h, err and grad buffers of `_step`, taken once per call of a
+    routine that steps many instances."""
+    dim = model.W.shape[1]
+    return np.empty(dim), np.empty(len(model.b)), np.empty(dim)
 
 
 def log_prob_and_grads(model: EmbeddingModel, doc_index: int,
-                       context_ids, target_id: int, out=None):
+                       context_ids, target_id: int, out=None, bufs=None):
     """Log probability of the target word for one instance, plus ascent
     gradients for U, b, the document vector, and the shared context
     direction (to be split equally among contributing vectors). In pvdm
     the last two are one array.
 
-    gU = err h^T is one k = 1 matrix product, written into `out` (a C
-    contiguous V x dim float array) when given. Each entry is the one
-    product err_i h_j, as in `np.outer`, but a zero product may lose its
-    sign.
+    The context sum is formed here, from the rows of W as they are now,
+    since training moves W between instances. gU = err h^T is one k = 1
+    matrix product, written into `out` (a C contiguous V x dim float
+    array) when given. Each entry is the one product err_i h_j, as in
+    `np.outer`, but a zero product may lose its sign. The error and
+    gradient are written into `bufs` (as `_buffers` returns) when given,
+    and into fresh arrays otherwise.
     """
-    shifted, norm, h, err, grad = _step(model, model.D[doc_index],
-                                        context_ids, target_id)
+    pvdm = model.config.mode == "pvdm"
+    n_ctx = len(context_ids) if pvdm else 0
+    h, err, grad = _buffers(model) if bufs is None else bufs
+    ctx_sum = np.add.reduce(model.W.take(context_ids, axis=0), axis=0, out=h) \
+        if n_ctx else None
+    shifted, norm, h = _step(model, model.D[doc_index], ctx_sum, n_ctx,
+                             target_id, h, err, grad)
     gU = np.dot(err[:, None], h[None, :], out=out)
-    grad_ctx = grad if model.config.mode == "pvdm" else np.zeros_like(grad)
+    grad_ctx = grad if pvdm else np.zeros_like(grad)
     return float(shifted - np.log(norm)), gU, err, grad, grad_ctx
+
+
+def _context_sums(table: np.ndarray | None, windows, width: int):
+    """The context sum of each (context ids, target id) window, from one
+    gather, for a model whose W does not move between the windows (fold-in
+    and `avg_log_prob`). With no table (pvdbow, whose windows have empty
+    contexts) nothing is gathered and each sum is None.
+
+    The contexts are padded with the id of `table`'s last row, a row of
+    -0.0, into one (windows x width) id matrix. It is gathered transposed,
+    so that one reduce over its first axis adds each window's rows in
+    window order and then its pads. x + -0.0 is x for every x, so each sum
+    is bit for bit `np.add.reduce(W.take(ctx, axis=0), axis=0)`, which
+    adds the rows in order too when dim >= 2 (at dim 1 numpy sums eight
+    or more rows pairwise, so there the two may round apart).
+    """
+    if table is None:
+        return [None] * len(windows)
+    pad = [len(table) - 1] * width
+    padded = chain.from_iterable(ctx + pad[len(ctx):] for ctx, _ in windows)
+    ids = np.fromiter(padded, np.intp, len(windows) * width).reshape(-1, width)
+    return np.add.reduce(table.take(ids.T, axis=0), axis=0)
+
+
+def _padded_table(model: EmbeddingModel) -> np.ndarray:
+    """W with one more row of -0.0, the pad row of `_context_sums`."""
+    return np.vstack([model.W, np.full((1, model.W.shape[1]), -0.0)])
 
 
 def _model_ids(model: EmbeddingModel, tokens, label: str | None = None) -> np.ndarray:
@@ -260,6 +311,7 @@ def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
             for doc in corpus.docs]
     U, b, W = model.U, model.b, model.W
     gU = np.empty_like(U)
+    bufs = _buffers(model)
     for alpha in epoch_schedule(cfg):
         for m, doc_ids in enumerate(docs):
             d = model.D[m]
@@ -267,7 +319,8 @@ def train(corpus: Corpus, cfg: Doc2VecConfig) -> EmbeddingModel:
                 # looked up as a module global on every instance, so that
                 # tvbench can wrap it to count instances
                 _, _, gb, gdoc, _ = log_prob_and_grads(model, m, ctx_ids,
-                                                       target, out=gU)
+                                                       target, out=gU,
+                                                       bufs=bufs)
                 gU *= alpha
                 U += gU
                 gb *= alpha
@@ -283,22 +336,26 @@ def avg_log_prob(model: EmbeddingModel, corpus: Corpus) -> float:
     """Mean log probability of the target word over all prediction
     instances, enumerated deterministically: every position is a pvdm
     center (or a pvdbow target), with no subsampling. A document with no
-    term left after min_count pruning raises ValueError."""
+    term left after min_count pruning raises ValueError. W is frozen here,
+    so each pvdm document's context sums come from one gather."""
     if corpus.num_docs == 0:
         raise ValueError("corpus is empty")
-    mode = model.config.mode
+    window = model.config.window
+    pvdm = model.config.mode == "pvdm"
+    table = _padded_table(model) if pvdm else None
+    bufs = _buffers(model)
     terms = corpus.vocab.id_to_term
     total = 0.0
     count = 0
     for m, doc in enumerate(corpus.docs):
         toks = _model_ids(model, [terms[t] for t in doc.tokens.tolist()],
                           doc.label).tolist()
-        if mode == "pvdm":
-            windows = build_windows(toks, model.config.window, mode)
-        else:
-            windows = [([], t) for t in toks]
-        for ctx_ids, target in windows:
-            shifted, norm = _step(model, model.D[m], ctx_ids, target)[:2]
+        windows = build_windows(toks, window, "pvdm") if pvdm \
+            else [([], t) for t in toks]
+        sums = _context_sums(table, windows, 2 * window)
+        for (ctx_ids, target), ctx_sum in zip(windows, sums):
+            shifted, norm, _ = _step(model, model.D[m], ctx_sum, len(ctx_ids),
+                                     target, *bufs)
             total += float(shifted - np.log(norm))
             count += 1
     return total / count
@@ -309,16 +366,22 @@ def infer_vector(model: EmbeddingModel, doc_tokens, cfg: Doc2VecConfig) -> np.nd
     softmax parameters frozen.
 
     Runs the same schedule, instance construction and step as training, but
-    only the fresh document vector receives gradient updates. A document
-    with no term in the model raises ValueError.
+    only the fresh document vector receives gradient updates. Since W does
+    not move, each pvdm epoch's context sums come from one gather
+    (`_context_sums`) rather than one per instance. A document with no
+    term in the model raises ValueError.
     """
     ids = _model_ids(model, doc_tokens)
     rng = np.random.default_rng(cfg.seed)
     span = 0.5 / model.config.dim
     v = rng.uniform(-span, span, size=model.config.dim)
+    table = _padded_table(model) if model.config.mode == "pvdm" else None
+    h, err, grad = _buffers(model)
     for alpha in epoch_schedule(cfg):
-        for ctx_ids, target in _instances(model, ids, cfg, rng):
-            g = _step(model, v, ctx_ids, target)[4]
-            g *= alpha
-            v += g
+        instances = _instances(model, ids, cfg, rng)
+        sums = _context_sums(table, instances, 2 * cfg.window)
+        for (ctx_ids, target), ctx_sum in zip(instances, sums):
+            _step(model, v, ctx_sum, len(ctx_ids), target, h, err, grad)
+            grad *= alpha
+            v += grad
     return v

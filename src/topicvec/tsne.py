@@ -58,7 +58,7 @@ and gradient, and the row entropy, live in the test suite
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

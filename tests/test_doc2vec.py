@@ -5,8 +5,6 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import (cosine, hidden_h, init_model, predict_distribution,
                      reference_instances, reference_step, reference_train)
@@ -498,6 +496,110 @@ def test_inference_matches_training_step_reference_on_mini_corpus(mini):
     for doc in docs:
         got = infer_vector(model, doc, cfg)
         assert got.tobytes() == reference_infer_vector(model, doc, cfg).tobytes()
+
+
+def topics_k50_shaped_model(mode):
+    """A model of the size of the topics-k50 benchmark's (V >= 500, dim 16)
+    with every parameter random, so no product is trivially zero."""
+    model = manual_model(V=600, dim=16, seed=31)
+    model.config.mode = mode
+    return model
+
+
+@pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])
+def test_inference_matches_training_step_reference_at_benchmark_size(mode):
+    model = topics_k50_shaped_model(mode)
+    # subsample thins words of frequency 1/600 with probability 0.23
+    cfg = Doc2VecConfig(dim=16, window=4, min_count=1, subsample=1e-3,
+                        max_epochs=4, seed=13)
+    rng = np.random.default_rng(6)
+    for size in (1, 3, 60):
+        doc = [model.terms[i] for i in rng.zipf(1.3, size=size) % 600] + ["zzz"]
+        got = infer_vector(model, doc, cfg)
+        assert got.tobytes() == reference_infer_vector(model, doc, cfg).tobytes()
+
+
+def per_window_sums(model, windows):
+    return [np.add.reduce(model.W.take(ctx, axis=0), axis=0) for ctx, _ in windows]
+
+
+def test_gathered_context_sums_equal_per_window_sums():
+    model = topics_k50_shaped_model("pvdm")
+    table = doc2vec._padded_table(model)
+    assert np.signbit(table[-1]).all() and not table[-1].any()  # the -0.0 pad row
+    ids = [5, 9, 5, 5, 120, 9, 599, 0, 5, 42, 42, 7]
+    windows = build_windows(ids, 4, "pvdm")
+    got = doc2vec._context_sums(table, windows, 8)
+    assert got.shape == (len(ids), 16)
+    # cut by the left and the right edge, full, and holding a repeated id
+    lengths = [len(ctx) for ctx, _ in windows]
+    assert lengths[0] == lengths[-1] == 4 and 8 in lengths
+    assert len(set(windows[3][0])) < len(windows[3][0])
+    for g, want in zip(got, per_window_sums(model, windows)):
+        assert g.tobytes() == want.tobytes()
+
+
+def test_gathered_context_sums_on_a_subsampled_epoch():
+    model = topics_k50_shaped_model("pvdm")
+    cfg = Doc2VecConfig(dim=16, window=3, min_count=1, subsample=2e-4)
+    ids = np.random.default_rng(8).integers(600, size=80)
+    windows = doc2vec._instances(model, ids, cfg, np.random.default_rng(2))
+    assert 0 < len(windows) < len(ids)  # thinned, so windows span the gaps
+    got = doc2vec._context_sums(doc2vec._padded_table(model), windows, 6)
+    for g, want in zip(got, per_window_sums(model, windows)):
+        assert g.tobytes() == want.tobytes()
+
+
+def test_one_token_document_steps_on_its_own_vector():
+    model = topics_k50_shaped_model("pvdm")
+    windows = build_windows([17], 4, "pvdm")
+    assert windows == [([], 17)]
+    (ctx_sum,) = doc2vec._context_sums(doc2vec._padded_table(model), windows, 8)
+    v = model.D[0].copy()
+    h = doc2vec._step(model, v, ctx_sum, 0, 17, *doc2vec._buffers(model))[2]
+    assert h is v
+
+
+def test_pvdbow_gathers_no_context(monkeypatch):
+    model = topics_k50_shaped_model("pvdbow")
+    windows = build_windows([3, 8, 3, 5], 2, "pvdbow", np.random.default_rng(0))
+    assert doc2vec._context_sums(None, windows, 4) == [None] * len(windows)
+    monkeypatch.setattr(doc2vec, "_padded_table", None)  # a call would fail
+    cfg = Doc2VecConfig(dim=16, window=4, min_count=1, max_epochs=2)
+    infer_vector(model, ["t1", "t2", "t3", "t1", "t9"], cfg)
+    avg_log_prob(model, build_corpus([["t1", "t2", "t1"], ["t3"]], ["a", "b"]))
+
+
+def reference_avg_log_prob(model, corp):
+    """The mean of `reference_step`'s log p over every instance, in
+    `avg_log_prob`'s order: pvdm windows of every position, or every token
+    as a pvdbow target."""
+    w = model.config.window
+    total, count = 0.0, 0
+    for m, doc in enumerate(corp.docs):
+        ids = [model.term_to_id[corp.vocab.id_to_term[t]] for t in doc.tokens
+               if corp.vocab.id_to_term[t] in model.term_to_id]
+        for i, target in enumerate(ids):
+            ctx = ids[max(0, i - w):i] + ids[i + 1:i + w + 1] \
+                if model.config.mode == "pvdm" else []
+            total += reference_step(model, model.D[m], ctx, target)[0]
+            count += 1
+    return total / count
+
+
+@pytest.mark.parametrize("mode", ["pvdm", "pvdbow"])
+def test_avg_log_prob_matches_reference_step_loop_bitwise(mode):
+    corp = toy_corpus()
+    model = train(corp, toy_config(max_epochs=5, mode=mode))
+    got, want = avg_log_prob(model, corp), reference_avg_log_prob(model, corp)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_avg_log_prob_matches_reference_step_loop_bitwise_on_mini_corpus(mini):
+    corp, cfg = mini
+    model = train(corp, dataclasses.replace(cfg, max_epochs=1))
+    got, want = avg_log_prob(model, corp), reference_avg_log_prob(model, corp)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_inference_deterministic():

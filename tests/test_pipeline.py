@@ -1,8 +1,6 @@
 import argparse
 import json
-import os
 import re
-import zipfile
 from importlib.resources import files
 
 import numpy as np
